@@ -128,6 +128,19 @@ void BM_PseudoReadDecision(benchmark::State& state) {
 }
 BENCHMARK(BM_PseudoReadDecision);
 
+// The same decision through the per-phase settle table the storage
+// backends use (bit-identical to settled_value; the table is built once
+// per write-back, outside the loop).
+void BM_PseudoReadDecisionSettler(benchmark::State& state) {
+  static const cim::noise::SramCellModel model;
+  const cim::noise::PhaseSettler settler(model, 3, 0.34);
+  std::uint64_t cell = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(settler.settle(cell++, true));
+  }
+}
+BENCHMARK(BM_PseudoReadDecisionSettler);
+
 void BM_PbmSwapDelta(benchmark::State& state) {
   static const auto inst = cim::tsp::generate_uniform(1000, 7);
   cim::ising::PbmState pbm(inst, cim::tsp::Tour::identity(1000));

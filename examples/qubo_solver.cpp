@@ -10,11 +10,13 @@
 // --strategy picks the window-clustering hook (chromatic, index-blocks,
 // bfs-blocks, degree-major); --warm-dir enables the persistent spin
 // warm-start store, so a second run on the same instance starts from the
-// stored best assignment.
+// stored best assignment. A malformed or out-of-range option (see
+// core/cli.hpp) is reported in one line with exit status 2.
 #include <cstdio>
 #include <exception>
 #include <string>
 
+#include "core/cli.hpp"
 #include "core/solver.hpp"
 #include "ising/generic.hpp"
 #include "qubo/io.hpp"
@@ -22,27 +24,6 @@
 #include "util/units.hpp"
 
 namespace {
-
-cim::core::SolverConfig make_config(const cim::util::Args& args) {
-  cim::core::SolverConfig config;
-  config.schedule.total_iterations =
-      static_cast<std::uint32_t>(args.get_int("sweeps", 400));
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  config.group_block =
-      static_cast<std::uint32_t>(args.get_int("block", 64));
-  config.warm_start_dir = args.get_or("warm-dir", "");
-  config.compute_reference = false;
-  config.compute_ppa = false;
-  const std::string strategy = args.get_or("strategy", "chromatic");
-  const auto parsed = cim::ising::parse_group_strategy(strategy);
-  if (!parsed) {
-    throw cim::ConfigError("unknown --strategy '" + strategy +
-                           "' (chromatic, index-blocks, bfs-blocks, "
-                           "degree-major)");
-  }
-  config.group_strategy = *parsed;
-  return config;
-}
 
 void print_warm_start(bool warm_started) {
   std::printf("warm start: %s\n",
@@ -63,8 +44,7 @@ int main(int argc, char** argv) {
                    args.program().c_str());
       return 2;
     }
-    const auto config = make_config(args);
-    const cim::core::CimSolver solver(config);
+    const cim::core::CimSolver solver(cim::core::qubo_cli_config(args));
 
     if (args.has("gset")) {
       const auto problem = cim::qubo::load_gset_file(*args.get("gset"));
@@ -105,6 +85,9 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
     return 0;
+  } catch (const cim::UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

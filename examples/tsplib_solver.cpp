@@ -10,10 +10,14 @@
 //   ./tsplib_solver --instance pcb442 --telemetry-out telem.json
 //     (writes telem.json + telem.trace.json — load the latter in
 //      chrome://tracing or ui.perfetto.dev)
+//
+// A malformed or out-of-range --p or --seed is reported in one line with
+// exit status 2.
 #include <cstdio>
 #include <exception>
 #include <fstream>
 
+#include "core/cli.hpp"
 #include "core/solver.hpp"
 #include "heuristics/construct.hpp"
 #include "heuristics/sa_baseline.hpp"
@@ -28,6 +32,8 @@
 int main(int argc, char** argv) {
   try {
     const cim::util::Args args(argc, argv);
+    const cim::core::SolverConfig config =
+        cim::core::tsplib_cli_config(args);
 
     // Load from file (positional arg) or by instance name.
     const cim::tsp::Instance instance = [&] {
@@ -43,17 +49,9 @@ int main(int argc, char** argv) {
     std::printf("%zu cities, metric %s\n", instance.size(),
                 cim::geo::metric_name(instance.metric()).c_str());
 
-    cim::core::SolverConfig config;
-    config.p_max = static_cast<std::uint32_t>(args.get_int("p", 3));
-    config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    config.telemetry_out = args.get_or("telemetry-out", "");
-    config.warm_start_dir = args.get_or("warm-start-dir", "");
-
     cim::util::Table table(
         {"solver", "tour length", "vs reference", "host time"});
 
-    // Classical baselines for context.
-    const cim::util::Timer t_ref;
     const auto outcome = cim::core::CimSolver(config).solve(instance);
     const long long reference =
         outcome.reference_length.value_or(outcome.tour_length);
@@ -68,6 +66,7 @@ int main(int argc, char** argv) {
                      cim::util::format_seconds(seconds)});
     };
 
+    // Classical baselines for context.
     cim::util::Timer t;
     const auto nn = cim::heuristics::nearest_neighbor(instance);
     add("nearest neighbour", nn.length(instance), t.seconds());
@@ -79,7 +78,8 @@ int main(int argc, char** argv) {
         cim::heuristics::simulated_annealing(instance, nn, sa);
     add("CPU simulated annealing", sa_result.final_length, t.seconds());
 
-    add("reference (greedy+2opt+or-opt)", reference, t_ref.seconds());
+    add("reference (greedy+2opt+or-opt)", reference,
+        outcome.reference_seconds);
     add("CIM clustered annealer", outcome.tour_length,
         outcome.solve_wall_seconds);
     table.print();
@@ -114,6 +114,9 @@ int main(int argc, char** argv) {
       std::printf("tour written to %s\n", out->c_str());
     }
     return 0;
+  } catch (const cim::UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

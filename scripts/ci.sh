@@ -5,6 +5,8 @@
 #
 #   fast (default) — release preset (warnings-as-errors): configure, build,
 #                    ctest (includes lint.determinism + lint.selftest),
+#                    the perfbench smoke run over all four end-to-end
+#                    workloads,
 #                    the annealer suites re-run with the vector kernel
 #                    forced on and off and with the partial-sum memo
 #                    disabled, a CIMANNEAL_DISABLE_SIMD=ON
@@ -64,6 +66,15 @@ esac
 for preset in "${presets[@]}"; do
   run_preset "${preset}"
 done
+
+echo "==== perfbench smoke (the four end-to-end workloads at small scale)"
+# Builds perfbench/ from this checkout's src/ and solves tsp_cold,
+# tsp_warm, ising_sparse and ising_dense twice per trace mode on one seed.
+# It fails on any failed solve, on a metric name or unit that differs from
+# BENCHMARK.json, and on a seed-fixed metric that does not repeat — so a
+# storage-layout or settle bug fails here, before a benchmark run.
+CARGO_TARGET_DIR="${repo_root}/build/perfbench" \
+  python3 perfbench/run.py --smoke
 
 # The annealer suites run once per kernel path: CIMANNEAL_VECTOR_KERNEL
 # seeds the `vector_kernel` config default, so these legs prove both the

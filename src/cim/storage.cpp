@@ -1,8 +1,11 @@
 #include "cim/storage.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <optional>
 
 #include "util/error.hpp"
+#include "util/parallel_for.hpp"
 #include "util/simd.hpp"
 
 namespace cim::hw {
@@ -81,15 +84,34 @@ class StorageBase : public WeightStorage {
   std::uint64_t cell_base_;
 };
 
+/// Column-chunk grain of FastStorage::write_back: about 2^16 cell settles
+/// per chunk. A pure function of the column height and the noisy bits,
+/// never of the pool width, so the chunking — and with it the fold order
+/// of the per-chunk flip counts — is the same on any pool (DESIGN.md §11).
+/// Windows of at most 2^16 noisy cells settle in one chunk, inline.
+std::size_t settle_grain(std::uint32_t rows, std::uint32_t noisy_bits) {
+  constexpr std::size_t kSettlesPerChunk = std::size_t{1} << 16;
+  const std::size_t per_column = static_cast<std::size_t>(rows) * noisy_bits;
+  return std::max<std::size_t>(1, kSettlesPerChunk / per_column);
+}
+
 class FastStorage final : public StorageBase {
  public:
-  using StorageBase::StorageBase;
+  FastStorage(std::uint32_t rows, std::uint32_t cols,
+              const noise::SramCellModel* model, std::uint64_t cell_base,
+              std::uint32_t weight_bits, util::ThreadPool* pool)
+      : StorageBase(rows, cols, model, cell_base, weight_bits), pool_(pool) {}
 
   void write(std::span<const std::uint8_t> golden) override {
     CIM_REQUIRE(golden.size() == weight_count(),
                 "weight image size mismatch");
     validate_range(golden);
-    golden_.assign(golden.begin(), golden.end());
+    golden_.resize(weight_count());
+    for (std::uint32_t c = 0; c < cols_; ++c) {
+      for (std::uint32_t r = 0; r < rows_; ++r) {
+        golden_[slot(r, c)] = golden[index(r, c)];
+      }
+    }
     current_ = golden_;
     packed_valid_ = false;
     apply_stuck_faults();
@@ -104,23 +126,39 @@ class FastStorage final : public StorageBase {
     apply_stuck_faults();
     if (!model_ || phase.noisy_lsbs == 0) return;
     const std::uint32_t noisy = std::min(phase.noisy_lsbs, bits_);
-    for (std::size_t w = 0; w < weight_count(); ++w) {
-      // Corrupt on top of the stuck-adjusted value (current_, not
-      // golden_): a stuck bit already holds its preferred value, so the
-      // settle rule leaves it alone — matching BitLevelStorage bit for
-      // bit. Starting from golden_ would erase the hard faults
-      // apply_stuck_faults() just wrote.
-      std::uint8_t value = current_[w];
-      for (std::uint32_t b = 0; b < noisy; ++b) {
-        const bool bit = (value >> b) & 1U;
-        const bool settled =
-            model_->settled_value(cell_id(w, b), phase.epoch, phase.vdd, bit);
-        if (settled != bit) {
-          value = static_cast<std::uint8_t>(value ^ (1U << b));
-          ++counters_.pseudo_read_flips;
+    const noise::PhaseSettler settler(*model_, phase.epoch, phase.vdd);
+    const std::size_t grain = settle_grain(rows_, noisy);
+    chunk_flips_.assign(util::parallel_chunk_count(cols_, grain), 0);
+    // Each chunk owns whole columns, i.e. one contiguous run of current_,
+    // and its own flip tally.
+    const auto settle_columns = [&](std::size_t begin, std::size_t end) {
+      std::uint64_t flips = 0;
+      for (std::size_t c = begin; c < end; ++c) {
+        const auto col = static_cast<std::uint32_t>(c);
+        for (std::uint32_t r = 0; r < rows_; ++r) {
+          // Corrupt on top of the stuck-adjusted value (current_, not
+          // golden_): a stuck bit already holds its preferred value, so
+          // the settle rule leaves it alone — matching BitLevelStorage
+          // bit for bit.
+          std::uint8_t& value = current_[slot(r, col)];
+          const std::uint8_t settled =
+              settler.settle_word(cell_id(index(r, col), 0), value, noisy);
+          flips += static_cast<std::uint64_t>(
+              std::popcount(static_cast<unsigned>(value ^ settled)));
+          value = settled;
         }
       }
-      current_[w] = value;
+      chunk_flips_[begin / grain] = flips;
+    };
+    if (pool_ != nullptr) {
+      util::parallel_for_chunks(*pool_, cols_, grain, settle_columns);
+    } else {
+      // This overload creates the shared pool only for a multi-chunk
+      // write-back: a window that fits one chunk never starts a thread.
+      util::parallel_for_chunks(cols_, grain, settle_columns);
+    }
+    for (const std::uint64_t flips : chunk_flips_) {
+      counters_.pseudo_read_flips += flips;
     }
   }
 
@@ -129,9 +167,21 @@ class FastStorage final : public StorageBase {
     const std::uint32_t col = col_idx.get();
     CIM_ASSERT(col < cols_);
     CIM_ASSERT(input.size() == rows_);
+    // The column is contiguous: a branchless masked byte sum the compiler
+    // vectorises. Blocks of 2^16 rows keep the 32-bit partial sums exact.
+    constexpr std::uint32_t kBlock = 1U << 16;
+    const std::uint8_t* weights = current_.data() + slot(0, col);
     std::int64_t acc = 0;
-    for (std::uint32_t r = 0; r < rows_; ++r) {
-      if (input[r]) acc += current_[index(r, col)];
+    for (std::uint32_t r0 = 0; r0 < rows_; r0 += kBlock) {
+      const std::uint32_t r1 = std::min(rows_ - r0, kBlock) + r0;
+      std::uint32_t block = 0;
+      for (std::uint32_t r = r0; r < r1; ++r) {
+        // Spelled as a byte mask, not `input[r] ? w : 0`, which the
+        // compiler turns back into a branch.
+        const auto mask = static_cast<std::uint8_t>(input[r] != 0 ? 0xFF : 0);
+        block += static_cast<std::uint8_t>(weights[r] & mask);
+      }
+      acc += block;
     }
     ++counters_.macs;
     counters_.mac_bit_reads += static_cast<std::uint64_t>(rows_) * bits_;
@@ -145,7 +195,7 @@ class FastStorage final : public StorageBase {
     CIM_ASSERT(col < cols_);
     std::int64_t acc = 0;
     for (const std::uint32_t r : active_rows) {
-      acc += current_[index(r, col)];
+      acc += current_[slot(r, col)];
     }
     ++counters_.macs;
     counters_.mac_bit_reads += static_cast<std::uint64_t>(rows_) * bits_;
@@ -202,10 +252,18 @@ class FastStorage final : public StorageBase {
   // hardware never reads single weights outside a MAC.
   // NOLINT(cim-counter-charge)
   std::uint8_t weight(RowIndex row, ColIndex col) const override {
-    return current_[index(row.get(), col.get())];
+    return current_[slot(row.get(), col.get())];
   }
 
  private:
+  /// Position of weight (row, col) in the column-contiguous planes. Cell
+  /// ids stay derived from the row-major index(), so the layout does not
+  /// move the error pattern.
+  std::size_t slot(std::uint32_t row, std::uint32_t col) const {
+    CIM_ASSERT(row < rows_ && col < cols_);
+    return static_cast<std::size_t>(col) * rows_ + row;
+  }
+
   // Rebuilds the bit-plane mirror from the corrupted byte image. Pure
   // host-side re-layout of already-read state — the physical reads are
   // charged by the MAC entry points, so the loop over current_ here is
@@ -213,9 +271,9 @@ class FastStorage final : public StorageBase {
   void ensure_packed() {
     if (packed_valid_) return;
     packed_.reset(rows_, cols_, bits_);
-    for (std::uint32_t r = 0; r < rows_; ++r) {
-      for (std::uint32_t c = 0; c < cols_; ++c) {
-        packed_.set_weight(r, c, current_[index(r, c)]);
+    for (std::uint32_t c = 0; c < cols_; ++c) {
+      for (std::uint32_t r = 0; r < rows_; ++r) {
+        packed_.set_weight(r, c, current_[slot(r, c)]);
       }
     }
     packed_valid_ = true;
@@ -226,21 +284,26 @@ class FastStorage final : public StorageBase {
   // NOLINT(cim-counter-charge)
   void apply_stuck_faults() {
     if (!model_ || model_->params().stuck_cell_rate <= 0.0) return;
-    for (std::size_t w = 0; w < weight_count(); ++w) {
-      std::uint8_t value = current_[w];
-      for (std::uint32_t b = 0; b < bits_; ++b) {
-        const std::uint64_t id = cell_id(w, b);
-        if (!model_->is_stuck(id)) continue;
-        const bool preferred = model_->traits(id).preferred_bit;
-        value = static_cast<std::uint8_t>(
-            (value & ~(1U << b)) | (static_cast<unsigned>(preferred) << b));
+    for (std::uint32_t c = 0; c < cols_; ++c) {
+      for (std::uint32_t r = 0; r < rows_; ++r) {
+        const std::size_t w = index(r, c);
+        std::uint8_t& value = current_[slot(r, c)];
+        for (std::uint32_t b = 0; b < bits_; ++b) {
+          const std::uint64_t id = cell_id(w, b);
+          if (!model_->is_stuck(id)) continue;
+          const bool preferred = model_->traits(id).preferred_bit;
+          value = static_cast<std::uint8_t>(
+              (value & ~(1U << b)) | (static_cast<unsigned>(preferred) << b));
+        }
       }
-      current_[w] = value;
     }
   }
 
+  util::ThreadPool* pool_;  ///< write-back pool; nullptr: the shared pool
+  /// Golden and current images, column-contiguous: slot(row, col).
   std::vector<std::uint8_t> golden_;
   std::vector<std::uint8_t> current_;
+  std::vector<std::uint64_t> chunk_flips_;  ///< write-back flips per chunk
   BitPlaneMatrix packed_;
   bool packed_valid_ = false;
   std::vector<const std::uint64_t*> in_ptrs_;
@@ -290,6 +353,7 @@ class BitLevelStorage final : public StorageBase {
     counters_.writeback_bits += stored_.size();
     apply_stuck_faults();
     if (!model_ || phase.noisy_lsbs == 0) return;
+    settler_.emplace(*model_, phase.epoch, phase.vdd);
     if (policy_ == PseudoReadPolicy::kSettleAtWriteBack) {
       const std::uint32_t noisy = std::min(phase.noisy_lsbs, bits_);
       for (std::size_t w = 0; w < weight_count(); ++w) {
@@ -444,8 +508,7 @@ class BitLevelStorage final : public StorageBase {
   void corrupt_cell(std::size_t w, std::uint32_t b) {
     const std::size_t cell = w * bits_ + b;
     const bool bit = stored_[cell] != 0;
-    const bool settled =
-        model_->settled_value(cell_id(w, b), phase_.epoch, phase_.vdd, bit);
+    const bool settled = settler_->settle(cell_id(w, b), bit);
     if (settled != bit) {
       stored_[cell] = settled ? 1 : 0;
       ++counters_.pseudo_read_flips;
@@ -477,6 +540,8 @@ class BitLevelStorage final : public StorageBase {
   PseudoReadPolicy policy_;
   AdderTree tree_;
   noise::SchedulePhase phase_;
+  /// The settle rule of phase_; set by every noisy write_back.
+  std::optional<noise::PhaseSettler> settler_;
   std::vector<std::uint8_t> stored_;
   std::vector<std::uint8_t> golden_bits_;
   std::vector<std::uint8_t> touched_;
@@ -491,9 +556,9 @@ class BitLevelStorage final : public StorageBase {
 std::unique_ptr<WeightStorage> make_fast_storage(
     std::uint32_t rows, std::uint32_t cols,
     const noise::SramCellModel* model, std::uint64_t cell_base,
-    std::uint32_t weight_bits) {
+    std::uint32_t weight_bits, util::ThreadPool* pool) {
   return std::make_unique<FastStorage>(rows, cols, model, cell_base,
-                                       weight_bits);
+                                       weight_bits, pool);
 }
 
 std::unique_ptr<WeightStorage> make_bit_level_storage(

@@ -9,8 +9,10 @@
 // patterns — a property the test suite checks.
 //
 //   * FastStorage    — materialises the corrupted byte per weight at
-//                      write-back; MACs are plain integer dot products.
-//                      Used for large instances.
+//                      write-back, in column-contiguous planes and in
+//                      parallel column chunks; MACs are plain integer dot
+//                      products over one contiguous column. Used for
+//                      large instances.
 //   * BitLevelStorage— explicit per-bit 14T cells, NOR multiplies and an
 //                      AdderTree reduction per MAC; optionally flips cells
 //                      on first access instead of at write-back
@@ -28,6 +30,10 @@
 #include "noise/schedule.hpp"
 #include "noise/sram_model.hpp"
 #include "util/units.hpp"
+
+namespace cim::util {
+class ThreadPool;
+}  // namespace cim::util
 
 namespace cim::hw {
 
@@ -143,11 +149,13 @@ enum class PseudoReadPolicy {
 
 /// Creates a fast (byte-materialised) backend.
 /// `cell_base` must give every storage a disjoint global cell-id range of
-/// rows*cols*weight_bits ids.
+/// rows*cols*weight_bits ids. A write-back that splits into several column
+/// chunks runs them on `pool` (nullptr: util::ThreadPool::shared()); the
+/// result does not depend on the pool or its width.
 std::unique_ptr<WeightStorage> make_fast_storage(
     std::uint32_t rows, std::uint32_t cols,
     const noise::SramCellModel* model, std::uint64_t cell_base,
-    std::uint32_t weight_bits = 8);
+    std::uint32_t weight_bits = 8, util::ThreadPool* pool = nullptr);
 
 /// Creates the bit-level 14T-cell backend.
 std::unique_ptr<WeightStorage> make_bit_level_storage(

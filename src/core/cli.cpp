@@ -1,0 +1,50 @@
+#include "core/cli.hpp"
+
+#include <limits>
+#include <string>
+
+#include "util/error.hpp"
+
+namespace cim::core {
+
+namespace {
+
+std::uint64_t parse_seed(const util::Args& args) {
+  return static_cast<std::uint64_t>(args.get_int_in(
+      "seed", 1, 0, std::numeric_limits<std::int64_t>::max()));
+}
+
+}  // namespace
+
+SolverConfig qubo_cli_config(const util::Args& args) {
+  SolverConfig config;
+  config.schedule.total_iterations = static_cast<std::uint32_t>(
+      args.get_int_in("sweeps", 400, 1, kCliMaxSweeps));
+  config.seed = parse_seed(args);
+  config.group_block = static_cast<std::uint32_t>(
+      args.get_int_in("block", 64, 1, kCliMaxBlock));
+  config.warm_start_dir = args.get_or("warm-dir", "");
+  config.compute_reference = false;
+  config.compute_ppa = false;
+  const std::string strategy = args.get_or("strategy", "chromatic");
+  const auto parsed = ising::parse_group_strategy(strategy);
+  if (!parsed) {
+    throw UsageError("unknown --strategy '" + strategy +
+                     "' (chromatic, index-blocks, bfs-blocks, "
+                     "degree-major)");
+  }
+  config.group_strategy = *parsed;
+  return config;
+}
+
+SolverConfig tsplib_cli_config(const util::Args& args) {
+  SolverConfig config;
+  config.p_max =
+      static_cast<std::uint32_t>(args.get_int_in("p", 3, kCliMinP, kCliMaxP));
+  config.seed = parse_seed(args);
+  config.telemetry_out = args.get_or("telemetry-out", "");
+  config.warm_start_dir = args.get_or("warm-start-dir", "");
+  return config;
+}
+
+}  // namespace cim::core

@@ -208,7 +208,9 @@ SolveOutcome CimSolver::solve(const tsp::Instance& instance) const {
   }
 
   if (config_.compute_reference) {
+    const util::Timer reference_timer;
     const heuristics::Reference ref = heuristics::compute_reference(instance);
+    outcome.reference_seconds = reference_timer.seconds();
     outcome.reference_length = ref.length;
     if (ref.length > 0) {
       outcome.optimal_ratio =

@@ -101,6 +101,9 @@ struct SolveOutcome {
   /// Lengths of all replicas when replicas > 1 (best one is `anneal`).
   std::vector<long long> replica_lengths;
   std::optional<long long> reference_length;
+  /// Host time of heuristics::compute_reference alone; 0 when the
+  /// reference is disabled.
+  double reference_seconds = 0.0;
   /// tour_length / reference_length (the paper's "optimal ratio");
   /// unset when the reference is disabled.
   std::optional<double> optimal_ratio;

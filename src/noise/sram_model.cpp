@@ -1,7 +1,6 @@
 #include "noise/sram_model.hpp"
 
 #include <array>
-#include <bit>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -11,11 +10,10 @@ namespace cim::noise {
 
 namespace {
 
-/// Unit-variance draw from a centred Binomial(64, ½): (popcount − 32) / 4.
-double z_from_hash(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  std::uint64_t s = util::hash_combine(util::hash_combine(a, b), c);
-  const std::uint64_t bits = util::splitmix64(s);
-  return (static_cast<double>(std::popcount(bits)) - 32.0) / 4.0;
+/// Unit-variance value of a centred Binomial(64, ½) draw's popcount:
+/// (popcount − 32) / 4.
+double z_from_popcount(int popcount) {
+  return (static_cast<double>(popcount) - 32.0) / 4.0;
 }
 
 /// pmf of popcount(uniform 64-bit) = C(64,k) / 2^64.
@@ -59,13 +57,18 @@ SramCellModel::SramCellModel(SramNoiseParams params, std::uint64_t seed)
   CIM_REQUIRE(params_.snm_slope > 0.0, "snm_slope must be positive");
   CIM_REQUIRE(params_.bl_cap_ff > 0.0,
               "bit-line capacitance must be positive");
+  // A negative scale would make larger disturbance draws flip less, and
+  // PhaseSettler's threshold table relies on the opposite.
+  CIM_REQUIRE(params_.disturb_base >= 0.0,
+              "disturbance scale must be non-negative");
 }
 
 CellTraits SramCellModel::traits(std::uint64_t cell_id) const {
   CellTraits t;
-  t.delta_vth = params_.sigma_vth * z_from_hash(seed_, cell_id, 0x7281DULL);
-  std::uint64_t s = util::hash_combine(seed_, cell_id ^ 0xBEEFULL);
-  t.preferred_bit = (util::splitmix64(s) & 1ULL) != 0;
+  t.delta_vth = params_.sigma_vth *
+                z_from_popcount(detail::draw_popcount(seed_, cell_id,
+                                                      detail::kVthSalt));
+  t.preferred_bit = detail::preferred_bit(seed_, cell_id);
   return t;
 }
 
@@ -83,15 +86,22 @@ double SramCellModel::flip_probability(double vdd, double delta_vth) const {
   return binomial_tail(margin / params_.sigma_disturb());
 }
 
-bool SramCellModel::flips(std::uint64_t cell_id, std::uint64_t epoch,
-                          double vdd) const {
-  const double delta_vth =
-      params_.sigma_vth * z_from_hash(seed_, cell_id, 0x7281DULL);
+bool SramCellModel::flip_rule(double vdd, int vth_popcount,
+                              int disturb_popcount) const {
+  const double delta_vth = params_.sigma_vth * z_from_popcount(vth_popcount);
   const double margin = snm(vdd, delta_vth);
   if (margin <= 0.0) return true;  // no read margin: certain flip
-  const double disturb = params_.sigma_disturb() *
-                         z_from_hash(seed_ ^ 0xF11BULL, cell_id, epoch);
+  const double disturb =
+      params_.sigma_disturb() * z_from_popcount(disturb_popcount);
   return disturb > margin;
+}
+
+bool SramCellModel::flips(std::uint64_t cell_id, std::uint64_t epoch,
+                          double vdd) const {
+  return flip_rule(
+      vdd, detail::draw_popcount(seed_, cell_id, detail::kVthSalt),
+      detail::draw_popcount(seed_ ^ detail::kDisturbSeedSalt, cell_id,
+                            epoch));
 }
 
 bool SramCellModel::is_stuck(std::uint64_t cell_id) const {
@@ -105,8 +115,7 @@ bool SramCellModel::is_stuck(std::uint64_t cell_id) const {
 
 bool SramCellModel::settled_value(std::uint64_t cell_id, std::uint64_t epoch,
                                   double vdd, bool written) const {
-  std::uint64_t s = util::hash_combine(seed_, cell_id ^ 0xBEEFULL);
-  const bool preferred = (util::splitmix64(s) & 1ULL) != 0;
+  const bool preferred = detail::preferred_bit(seed_, cell_id);
   // A stuck cell holds its preferred value no matter what was written or
   // how high the supply is.
   if (is_stuck(cell_id)) return preferred;
@@ -126,6 +135,27 @@ double SramCellModel::expected_error_rate(double vdd) const {
   }
   // Half of random stored bits are anti-preferred.
   return 0.5 * acc;
+}
+
+PhaseSettler::PhaseSettler(const SramCellModel& model, std::uint64_t epoch,
+                           double vdd)
+    : model_(&model),
+      seed_(model.seed_),
+      disturb_seed_(model.seed_ ^ detail::kDisturbSeedSalt),
+      epoch_(epoch),
+      check_stuck_(model.params_.stuck_cell_rate > 0.0) {
+  // flip_rule() is monotone in the disturbance popcount (the draw's scale
+  // is non-negative), so each ΔVth popcount's verdict is a threshold. The
+  // read margin shrinks as ΔVth moves away from the centre popcount 32 in
+  // either direction, so the threshold only falls along each half and one
+  // downward scan per half finds it: at most 2 × (33 + 65) evaluations.
+  for (const int step : {-1, 1}) {
+    int quiet = 64;
+    for (int k = 32; k >= 0 && k <= 64; k += step) {
+      while (quiet >= 0 && model.flip_rule(vdd, k, quiet)) --quiet;
+      quiet_[static_cast<std::size_t>(k)] = static_cast<std::int8_t>(quiet);
+    }
+  }
 }
 
 }  // namespace cim::noise

@@ -26,9 +26,17 @@ struct Line {
   throw ConfigError("line " + std::to_string(line) + ": " + what);
 }
 
+/// The characters `std::istream >> std::string` splits on in the classic
+/// locale.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
 /// Splits into whitespace-token lines; '#' starts a comment when
 /// `comments` is allowed; blank/comment-only lines are dropped but keep
-/// the numbering of the survivors.
+/// the numbering of the survivors. Scans the text in place: a
+/// per-line string stream costs more than the rest of the parse.
 std::vector<Line> tokenize(const std::string& text, bool comments) {
   std::vector<Line> lines;
   std::size_t number = 0;
@@ -36,20 +44,21 @@ std::vector<Line> tokenize(const std::string& text, bool comments) {
   while (start <= text.size()) {
     std::size_t stop = text.find('\n', start);
     if (stop == std::string::npos) stop = text.size();
-    std::string raw = text.substr(start, stop - start);
     ++number;
-    start = stop + 1;
-    if (comments) {
-      const std::size_t hash = raw.find('#');
-      if (hash != std::string::npos) raw.resize(hash);
-    }
+    const auto first = text.begin() + static_cast<std::ptrdiff_t>(start);
+    auto last = text.begin() + static_cast<std::ptrdiff_t>(stop);
+    if (comments) last = std::find(first, last, '#');
     Line line;
     line.number = number;
-    std::istringstream stream(raw);
-    std::string token;
-    while (stream >> token) line.tokens.push_back(std::move(token));
+    for (auto it = first; it != last;) {
+      it = std::find_if_not(it, last, is_space);
+      const auto token_end = std::find_if(it, last, is_space);
+      if (token_end != it) line.tokens.emplace_back(it, token_end);
+      it = token_end;
+    }
     if (!line.tokens.empty()) lines.push_back(std::move(line));
     if (stop == text.size()) break;
+    start = stop + 1;
   }
   return lines;
 }

@@ -1,5 +1,6 @@
 #include "util/args.hpp"
 
+#include <charconv>
 #include <cstdlib>
 
 #include "util/error.hpp"
@@ -49,12 +50,26 @@ std::int64_t Args::get_int(const std::string& name,
                            std::int64_t fallback) const {
   const auto v = get(name);
   if (!v || v->empty()) return fallback;
-  try {
-    return std::stoll(*v);
-  } catch (const std::exception&) {
-    throw ConfigError("option --" + name + " expects an integer, got '" + *v +
-                      "'");
+  std::int64_t value = 0;
+  const char* end = v->data() + v->size();
+  const auto [ptr, ec] = std::from_chars(v->data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    throw UsageError("option --" + name + " expects an integer, got '" + *v +
+                     "'");
   }
+  return value;
+}
+
+std::int64_t Args::get_int_in(const std::string& name, std::int64_t fallback,
+                              std::int64_t lo, std::int64_t hi) const {
+  CIM_ASSERT(lo <= hi);
+  const std::int64_t value = get_int(name, fallback);
+  if (value < lo || value > hi) {
+    throw UsageError("option --" + name + " must be in [" +
+                     std::to_string(lo) + ", " + std::to_string(hi) +
+                     "], got " + std::to_string(value));
+  }
+  return value;
 }
 
 double Args::get_double(const std::string& name, double fallback) const {
@@ -63,8 +78,8 @@ double Args::get_double(const std::string& name, double fallback) const {
   try {
     return std::stod(*v);
   } catch (const std::exception&) {
-    throw ConfigError("option --" + name + " expects a number, got '" + *v +
-                      "'");
+    throw UsageError("option --" + name + " expects a number, got '" + *v +
+                     "'");
   }
 }
 

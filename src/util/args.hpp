@@ -21,7 +21,12 @@ class Args {
   bool has(const std::string& name) const;
   std::optional<std::string> get(const std::string& name) const;
   std::string get_or(const std::string& name, std::string fallback) const;
+  /// The option as a whole-token base-10 integer; UsageError otherwise.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// get_int() checked against [lo, hi]; UsageError names the option and
+  /// the range when the value falls outside.
+  std::int64_t get_int_in(const std::string& name, std::int64_t fallback,
+                          std::int64_t lo, std::int64_t hi) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_flag(const std::string& name) const { return has(name); }
 

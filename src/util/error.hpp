@@ -30,6 +30,13 @@ class ConfigError : public Error {
   explicit ConfigError(const std::string& what) : Error(what) {}
 };
 
+/// A malformed or out-of-range command-line option. The CLIs report it in
+/// one line and exit with status 2.
+class UsageError : public ConfigError {
+ public:
+  explicit UsageError(const std::string& what) : ConfigError(what) {}
+};
+
 /// Internal invariant failure; thrown by CIM_ASSERT.
 class InvariantError : public Error {
  public:

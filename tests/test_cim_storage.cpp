@@ -4,6 +4,7 @@
 
 #include "util/error.hpp"
 #include "util/random.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cim::hw {
 namespace {
@@ -105,6 +106,109 @@ TEST(Storage, BackendsAgreeWithStuckCellsAndNoise) {
   // even after the backends agree — those are the hard faults the fast
   // backend used to erase.
   EXPECT_GT(stuck_divergent, 0U);
+}
+
+/// The current weight image of a storage, row-major.
+std::vector<std::uint8_t> weight_image(const WeightStorage& storage) {
+  std::vector<std::uint8_t> image;
+  image.reserve(static_cast<std::size_t>(storage.rows()) * storage.cols());
+  for (std::uint32_t r = 0; r < storage.rows(); ++r) {
+    for (std::uint32_t c = 0; c < storage.cols(); ++c) {
+      image.push_back(storage.weight(RowIndex(r), ColIndex(c)));
+    }
+  }
+  return image;
+}
+
+void expect_same_counters(const StorageCounters& a, const StorageCounters& b,
+                          const std::string& label) {
+  EXPECT_EQ(a.macs, b.macs) << label;
+  EXPECT_EQ(a.mac_bit_reads, b.mac_bit_reads) << label;
+  EXPECT_EQ(a.writeback_events, b.writeback_events) << label;
+  EXPECT_EQ(a.writeback_bits, b.writeback_bits) << label;
+  EXPECT_EQ(a.pseudo_read_flips, b.pseudo_read_flips) << label;
+}
+
+TEST(Storage, ChunkedWriteBackMatchesBitLevelOnAnyPool) {
+  // A plane tall and wide enough that FastStorage's write-back splits into
+  // many column chunks (rows != cols, so a transposition shows): its image
+  // and counters must match the bit-level backend, and itself, whatever
+  // pool runs the chunks.
+  constexpr std::uint32_t kRows = 512;
+  constexpr std::uint32_t kCols = 700;
+  const noise::SramCellModel model(noise::SramNoiseParams{}, 0x5107);
+  const auto image = random_image(kRows, kCols, 31);
+  const std::vector<noise::SchedulePhase> phases = {phase(4, 0.30, 6),
+                                                    phase(5, 0.42, 6)};
+  auto bits = make_bit_level_storage(kRows, kCols, &model, 1U << 20);
+  bits->write(image);
+  std::vector<std::vector<std::uint8_t>> want_images;
+  std::vector<StorageCounters> want_counters;
+  for (const auto& p : phases) {
+    bits->write_back(p);
+    want_images.push_back(weight_image(*bits));
+    want_counters.push_back(bits->counters());
+  }
+  ASSERT_GT(want_counters.front().pseudo_read_flips, 0U);
+
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  for (const std::size_t width : {0U, 1U, 2U, 8U}) {
+    pools.push_back(std::make_unique<util::ThreadPool>(width));
+  }
+  pools.push_back(nullptr);  // the shared pool
+  for (const auto& pool : pools) {
+    const std::string label =
+        pool ? "pool width " + std::to_string(pool->width()) : "shared pool";
+    auto fast = make_fast_storage(kRows, kCols, &model, 1U << 20, 8,
+                                  pool.get());
+    fast->write(image);
+    for (std::size_t k = 0; k < phases.size(); ++k) {
+      fast->write_back(phases[k]);
+      EXPECT_EQ(weight_image(*fast), want_images[k])
+          << label << ", phase " << k;
+      expect_same_counters(fast->counters(), want_counters[k],
+                           label + ", phase " + std::to_string(k));
+    }
+  }
+}
+
+TEST(Storage, RowMajorWriteRoundTripsOnNonSquareWindow) {
+  // FastStorage keeps its planes column-contiguous; write() still takes
+  // the row-major image, and weight() and every MAC read it back
+  // untransposed.
+  constexpr std::uint32_t kRows = 7;
+  constexpr std::uint32_t kCols = 13;
+  std::vector<std::uint8_t> image(kRows * kCols);
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    image[i] = static_cast<std::uint8_t>(i);  // unique per position
+  }
+  auto plane = make_fast_storage(kRows, kCols, nullptr, 0);
+  plane->write(image);
+  EXPECT_EQ(weight_image(*plane), image);
+  std::vector<std::uint8_t> ones(kRows, 1);
+  std::vector<std::uint32_t> all_rows(kRows);
+  std::vector<std::uint64_t> packed_ones(packed_words(kRows), 0);
+  for (std::uint32_t r = 0; r < kRows; ++r) {
+    all_rows[r] = r;
+    packed_ones[r / 64] |= std::uint64_t{1} << (r % 64);
+  }
+  for (std::uint32_t c = 0; c < kCols; ++c) {
+    std::int64_t column_sum = 0;
+    for (std::uint32_t r = 0; r < kRows; ++r) {
+      column_sum += image[r * kCols + c];
+    }
+    EXPECT_EQ(plane->mac(ColIndex(c), ones), column_sum) << "column " << c;
+    EXPECT_EQ(plane->mac_sparse(ColIndex(c), all_rows), column_sum)
+        << "column " << c;
+    EXPECT_EQ(plane->mac_packed(ColIndex(c), packed_ones), column_sum)
+        << "column " << c;
+    EXPECT_EQ(plane->mac_sparse(ColIndex(c), std::vector<std::uint32_t>{2}),
+              image[2 * kCols + c])
+        << "column " << c;
+  }
+  // A noise-free write-back restores the same row-major image.
+  plane->write_back(phase(0, 0.80, 0));
+  EXPECT_EQ(weight_image(*plane), image);
 }
 
 TEST(Storage, SparseMacMatchesDense) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "test_helpers.hpp"
 #include "tsp/generator.hpp"
 #include "util/error.hpp"
@@ -9,16 +11,22 @@
 namespace cim::cluster {
 namespace {
 
+// gtest names each case after a byte dump of its parameter, so the struct
+// must have no padding: `filler` takes the place of the four bytes after
+// `strategy` and stays zero, which keeps the names the same on every run.
 struct Case {
   Strategy strategy;
+  std::uint32_t filler = 0;
   std::size_t p;
   std::size_t n;
 };
+static_assert(sizeof(Case) ==
+              sizeof(Strategy) + sizeof(std::uint32_t) + 2 * sizeof(std::size_t));
 
 class HierarchyCases : public ::testing::TestWithParam<Case> {};
 
 TEST_P(HierarchyCases, PartitionIsValidAtEveryLevel) {
-  const auto [strategy, p, n] = GetParam();
+  const auto [strategy, filler, p, n] = GetParam();
   const auto inst = test::random_instance(n, n * 7 + p);
   Options options;
   options.strategy = strategy;
@@ -30,7 +38,7 @@ TEST_P(HierarchyCases, PartitionIsValidAtEveryLevel) {
 }
 
 TEST_P(HierarchyCases, SizeConstraintsHold) {
-  const auto [strategy, p, n] = GetParam();
+  const auto [strategy, filler, p, n] = GetParam();
   const auto inst = test::random_instance(n, n * 11 + p);
   Options options;
   options.strategy = strategy;
@@ -56,13 +64,13 @@ TEST_P(HierarchyCases, SizeConstraintsHold) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, HierarchyCases,
-    ::testing::Values(Case{Strategy::kFixed, 2, 200},
-                      Case{Strategy::kFixed, 3, 333},
-                      Case{Strategy::kFixed, 4, 500},
-                      Case{Strategy::kSemiFlexible, 2, 200},
-                      Case{Strategy::kSemiFlexible, 3, 500},
-                      Case{Strategy::kSemiFlexible, 4, 1000},
-                      Case{Strategy::kUnlimited, 2, 300}));
+    ::testing::Values(Case{.strategy = Strategy::kFixed, .p = 2, .n = 200},
+                      Case{.strategy = Strategy::kFixed, .p = 3, .n = 333},
+                      Case{.strategy = Strategy::kFixed, .p = 4, .n = 500},
+                      Case{.strategy = Strategy::kSemiFlexible, .p = 2, .n = 200},
+                      Case{.strategy = Strategy::kSemiFlexible, .p = 3, .n = 500},
+                      Case{.strategy = Strategy::kSemiFlexible, .p = 4, .n = 1000},
+                      Case{.strategy = Strategy::kUnlimited, .p = 2, .n = 300}));
 
 TEST(Hierarchy, SemiFlexMeanSizeNearTarget) {
   const auto inst = test::random_instance(1200, 17);

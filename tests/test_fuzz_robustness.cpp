@@ -4,10 +4,16 @@
 // open-ended fuzzer.)
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "cim/storage.hpp"
+#include "core/cli.hpp"
 #include "noise/sram_model.hpp"
 #include "tsp/tour_io.hpp"
 #include "tsp/tsplib.hpp"
+#include "util/args.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
 
@@ -140,6 +146,125 @@ TEST(Fuzz, InstanceRoundTripUnderMutationSurvivors) {
     } catch (const Error&) {
     }
   }
+}
+
+enum class Cli { kQubo, kTsplib };
+
+/// Parses `tokens` (everything after the program name) as the given CLI.
+core::SolverConfig parse_cli(Cli cli, const std::vector<std::string>& tokens) {
+  std::vector<const char*> argv = {"solver"};
+  for (const auto& t : tokens) argv.push_back(t.c_str());
+  const util::Args args(static_cast<int>(argv.size()), argv.data());
+  return cli == Cli::kQubo ? core::qubo_cli_config(args)
+                           : core::tsplib_cli_config(args);
+}
+
+struct CliCase {
+  Cli cli;
+  std::string option;
+  std::string value;
+};
+
+TEST(Fuzz, CliRejectsBadNumericOptionsAtParseTime) {
+  // Each bad value is a one-line UsageError naming its option, raised
+  // before a solver exists. `--sweeps -1` used to wrap to 4 294 967 295
+  // sweeps, and `--block 0` was silently ignored on the Max-Cut path.
+  const std::vector<CliCase> bad = {
+      {Cli::kQubo, "sweeps", "-1"},
+      {Cli::kQubo, "sweeps", "0"},
+      {Cli::kQubo, "sweeps", "1000001"},
+      {Cli::kQubo, "sweeps", "4294967295"},
+      {Cli::kQubo, "sweeps", "18446744073709551615"},
+      {Cli::kQubo, "sweeps", "12abc"},
+      {Cli::kQubo, "sweeps", "1e3"},
+      {Cli::kQubo, "sweeps", "many"},
+      {Cli::kQubo, "block", "0"},
+      {Cli::kQubo, "block", "-64"},
+      {Cli::kQubo, "block", "1048577"},
+      {Cli::kQubo, "seed", "-1"},
+      {Cli::kQubo, "seed", "-9223372036854775808"},
+      {Cli::kQubo, "seed", "9223372036854775808"},
+      {Cli::kTsplib, "p", "0"},
+      {Cli::kTsplib, "p", "1"},
+      {Cli::kTsplib, "p", "-3"},
+      {Cli::kTsplib, "p", "33"},
+      {Cli::kTsplib, "p", "3.5"},
+      {Cli::kTsplib, "seed", "-7"},
+      {Cli::kTsplib, "seed", "seven"},
+  };
+  for (const auto& c : bad) {
+    const std::vector<std::string> tokens = {"--gset", "g.gset",
+                                             "--" + c.option + "=" + c.value};
+    try {
+      parse_cli(c.cli, tokens);
+      ADD_FAILURE() << "accepted --" << c.option << "=" << c.value;
+    } catch (const UsageError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("--" + c.option), std::string::npos) << message;
+      EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+    }
+  }
+  EXPECT_THROW(parse_cli(Cli::kQubo, {"--strategy", "spiral"}), UsageError);
+}
+
+TEST(Fuzz, CliAcceptsEveryOptionAtItsRangeEdges) {
+  const auto lo = parse_cli(Cli::kQubo, {"--sweeps", "1", "--block", "1",
+                                         "--seed", "0"});
+  EXPECT_EQ(lo.schedule.total_iterations, 1U);
+  EXPECT_EQ(lo.group_block, 1U);
+  EXPECT_EQ(lo.seed, 0U);
+  const auto hi = parse_cli(
+      Cli::kQubo, {"--sweeps", std::to_string(core::kCliMaxSweeps), "--block",
+                   std::to_string(core::kCliMaxBlock), "--seed",
+                   "9223372036854775807"});
+  EXPECT_EQ(hi.schedule.total_iterations,
+            static_cast<std::size_t>(core::kCliMaxSweeps));
+  EXPECT_EQ(hi.group_block, static_cast<std::uint32_t>(core::kCliMaxBlock));
+  EXPECT_EQ(hi.seed, static_cast<std::uint64_t>(
+                         std::numeric_limits<std::int64_t>::max()));
+  EXPECT_EQ(parse_cli(Cli::kTsplib, {"--p", "2"}).p_max, 2U);
+  EXPECT_EQ(parse_cli(Cli::kTsplib, {"--p", "32"}).p_max, 32U);
+  // Defaults are in range too.
+  EXPECT_EQ(parse_cli(Cli::kQubo, {}).schedule.total_iterations, 400U);
+  EXPECT_EQ(parse_cli(Cli::kTsplib, {}).p_max, 3U);
+  // Every accepted configuration constructs a solver.
+  EXPECT_NO_THROW(core::CimSolver(parse_cli(Cli::kTsplib, {"--p", "2"})));
+}
+
+TEST(Fuzz, CliNumericOptionsNeverEscapeUsageErrors) {
+  // Mutated option values either parse into range or raise UsageError;
+  // nothing else may escape, and nothing out of range may get through.
+  const std::vector<CliCase> valid = {{Cli::kQubo, "sweeps", "400"},
+                                      {Cli::kQubo, "block", "64"},
+                                      {Cli::kQubo, "seed", "17"},
+                                      {Cli::kTsplib, "p", "3"},
+                                      {Cli::kTsplib, "seed", "7"}};
+  util::Rng rng(0xF077);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const auto& base = valid[rng.below(valid.size())];
+    const std::string value = mutate(base.value, rng, 1 + rng.below(3));
+    try {
+      const auto config =
+          parse_cli(base.cli, {"--" + base.option + "=" + value});
+      ++accepted;
+      EXPECT_GE(config.schedule.total_iterations, 1U);
+      EXPECT_LE(config.schedule.total_iterations,
+                static_cast<std::size_t>(core::kCliMaxSweeps));
+      EXPECT_GE(config.group_block, 1U);
+      EXPECT_LE(config.group_block,
+                static_cast<std::uint32_t>(core::kCliMaxBlock));
+      EXPECT_GE(config.p_max, static_cast<std::uint32_t>(core::kCliMinP));
+      EXPECT_LE(config.p_max, static_cast<std::uint32_t>(core::kCliMaxP));
+      EXPECT_LE(config.seed, static_cast<std::uint64_t>(
+                                 std::numeric_limits<std::int64_t>::max()));
+    } catch (const UsageError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(accepted, 0U);
+  EXPECT_GT(rejected, 0U);
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 #include "noise/sram_model.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "noise/monte_carlo.hpp"
+#include "noise/schedule.hpp"
 #include "util/error.hpp"
+#include "util/random.hpp"
 
 namespace cim::noise {
 namespace {
@@ -150,6 +154,128 @@ TEST(SramModel, EpochChangesDisturbance) {
   EXPECT_LT(differing, 600U);
 }
 
+/// Every supply the default annealing schedule programs (0.30 V up to the
+/// 0.80 V ceiling), plus the edge supplies snm_v0 and nominal.
+std::vector<double> settle_supplies(const SramNoiseParams& params) {
+  AnnealSchedule::Params sp;
+  sp.total_iterations = sp.iterations_per_step * 16;
+  const AnnealSchedule schedule(sp);
+  std::vector<double> vdds = {params.snm_v0, params.nominal_vdd};
+  for (std::size_t e = 0; e < schedule.epochs(); ++e) {
+    vdds.push_back(schedule.at(e * sp.iterations_per_step).vdd);
+  }
+  std::sort(vdds.begin(), vdds.end());
+  vdds.erase(std::unique(vdds.begin(), vdds.end()), vdds.end());
+  return vdds;
+}
+
+TEST(PhaseSettler, SchedulePassesThroughEverySupply) {
+  const auto vdds = settle_supplies(SramNoiseParams{});
+  EXPECT_DOUBLE_EQ(vdds.front(), 0.18);
+  EXPECT_DOUBLE_EQ(vdds.back(), 0.80);
+  EXPECT_GE(vdds.size(), 14U);  // 0.30, 0.34, ..., 0.78, plus the edges
+}
+
+TEST(PhaseSettler, MatchesSettledValueCellByCell) {
+  // The settle table is an exact rewrite of settled_value(): over 10^6
+  // cell ids at every schedule supply, both written values and with and
+  // without stuck cells, not one settled bit may differ.
+  constexpr std::uint64_t kCells = 1'000'000;
+  for (const double stuck_rate : {0.0, 0.01}) {
+    SramNoiseParams params;
+    params.stuck_cell_rate = stuck_rate;
+    const SramCellModel model(params, 0xC0FFEE);
+    const auto vdds = settle_supplies(params);
+    for (std::size_t v = 0; v < vdds.size(); ++v) {
+      const std::uint64_t epoch = 3 + v;
+      const PhaseSettler settler(model, epoch, vdds[v]);
+      // Disjoint, high cell-id ranges per supply: 10^6 ids each.
+      const std::uint64_t base = (std::uint64_t{1} << 40) + v * kCells;
+      std::size_t mismatches = 0;
+      std::size_t flipped = 0;
+      for (std::uint64_t cell = base; cell < base + kCells; ++cell) {
+        for (const bool written : {false, true}) {
+          const bool want = model.settled_value(cell, epoch, vdds[v], written);
+          mismatches += settler.settle(cell, written) != want ? 1U : 0U;
+          flipped += want != written ? 1U : 0U;
+        }
+      }
+      EXPECT_EQ(mismatches, 0U)
+          << "vdd=" << vdds[v] << " stuck_rate=" << stuck_rate;
+      if (vdds[v] < 0.5) {
+        EXPECT_GT(flipped, 0U) << "vdd=" << vdds[v];
+      }
+    }
+  }
+}
+
+TEST(PhaseSettler, SettleWordMatchesSettledValueBitByBit) {
+  // The word form the storage write-back uses: the `noisy` low bits settle
+  // exactly as settled_value() per cell, the rest pass through.
+  constexpr std::uint64_t kWords = 100'000;
+  util::Rng rng(0x5E771E);
+  for (const double stuck_rate : {0.0, 0.01}) {
+    SramNoiseParams params;
+    params.stuck_cell_rate = stuck_rate;
+    const SramCellModel model(params, 0xBADCE11);
+    for (const double vdd : settle_supplies(params)) {
+      const PhaseSettler settler(model, 9, vdd);
+      std::size_t mismatches = 0;
+      for (std::uint64_t word = 0; word < kWords; ++word) {
+        const std::uint64_t first_cell = 8 * word + rng.below(8);
+        const auto value = static_cast<std::uint8_t>(rng.below(256));
+        const auto noisy = static_cast<std::uint32_t>(rng.range(1, 8));
+        unsigned want = value;
+        for (std::uint32_t b = 0; b < noisy; ++b) {
+          const bool bit = (value >> b) & 1U;
+          if (model.settled_value(first_cell + b, 9, vdd, bit) != bit) {
+            want ^= 1U << b;
+          }
+        }
+        mismatches +=
+            settler.settle_word(first_cell, value, noisy) != want ? 1U : 0U;
+      }
+      EXPECT_EQ(mismatches, 0U)
+          << "vdd=" << vdd << " stuck_rate=" << stuck_rate;
+    }
+  }
+}
+
+TEST(PhaseSettler, TableMatchesDoubleRuleForEveryPopcountPair) {
+  // Exhaustive over the draw space: each (ΔVth popcount, disturbance
+  // popcount) pair of a cell storing its anti-preferred value, against
+  // the double-precision rule written out here. Covers every threshold
+  // boundary, not just the ones a sample of cells happens to hit.
+  SramNoiseParams sharp;
+  sharp.bl_cap_ff = 80.0;
+  SramNoiseParams blunt;
+  blunt.bl_cap_ff = 5.0;
+  blunt.sigma_vth = 0.09;
+  SramNoiseParams still;
+  still.disturb_base = 0.0;
+  for (const SramNoiseParams& params :
+       {SramNoiseParams{}, sharp, blunt, still}) {
+    const SramCellModel model(params, 41);
+    auto vdds = settle_supplies(params);
+    for (int step = 0; step <= 200; ++step) vdds.push_back(0.005 * step);
+    for (const double vdd : vdds) {
+      const PhaseSettler settler(model, 0, vdd);
+      for (int kv = 0; kv <= 64; ++kv) {
+        const double delta_vth =
+            params.sigma_vth * ((static_cast<double>(kv) - 32.0) / 4.0);
+        const double margin = model.snm(vdd, delta_vth);
+        for (int kd = 0; kd <= 64; ++kd) {
+          const double disturb = params.sigma_disturb() *
+                                 ((static_cast<double>(kd) - 32.0) / 4.0);
+          const bool want = margin <= 0.0 || disturb > margin;
+          ASSERT_EQ(settler.flips_at(kv, kd), want)
+              << "vdd=" << vdd << " kv=" << kv << " kd=" << kd;
+        }
+      }
+    }
+  }
+}
+
 TEST(SramModel, InvalidParamsThrow) {
   SramNoiseParams bad;
   bad.sigma_vth = 0.0;
@@ -157,6 +283,9 @@ TEST(SramModel, InvalidParamsThrow) {
   SramNoiseParams bad_cap;
   bad_cap.bl_cap_ff = 0.0;
   EXPECT_THROW(SramCellModel(bad_cap, 1), ConfigError);
+  SramNoiseParams bad_disturb;
+  bad_disturb.disturb_base = -0.01;
+  EXPECT_THROW(SramCellModel(bad_disturb, 1), ConfigError);
 }
 
 TEST(MonteCarlo, MeasuredTracksAnalytic) {
