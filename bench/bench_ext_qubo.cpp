@@ -3,9 +3,8 @@
 // Max-Cut from GSet files (through the strict parser), penalty-encoded
 // graph colouring and 0/1 knapsack — swept over the clustering-strategy
 // hook (chromatic windows vs index blocks). Every instance is also run
-// through all four kernel variants (scalar/vector × memo on/off) and the
-// row records whether they were bit-identical (energies, spins, flips,
-// StorageCounters).
+// with partial-sum memoization on and off, and the row records whether
+// the two were bit-identical (energies, spins, flips, StorageCounters).
 //
 // Writes BENCH_ext_qubo.json (CIMANNEAL_BENCH_OUT_QUBO overrides the
 // path; CIMANNEAL_BENCH_SMOKE=1 shrinks seeds/sweeps for CI). Oracles:
@@ -52,41 +51,22 @@ cim::anneal::GenericAnnealConfig base_config(bool smoke) {
   return config;
 }
 
-/// All four kernel variants at seed 1 must agree bit-for-bit.
+/// Memoization on and off at seed 1 must agree bit-for-bit.
 bool variants_agree(const cim::ising::GenericModel& model, bool smoke) {
   auto config = base_config(smoke);
   config.seed = 1;
-  const cim::anneal::GenericResult* reference = nullptr;
-  cim::anneal::GenericResult results[4];
-  int index = 0;
-  for (const bool vector_kernel : {false, true}) {
-    for (const bool memoize : {false, true}) {
-      config.vector_kernel = vector_kernel;
-      config.memoize_partial_sums = memoize;
-      results[index] =
-          cim::anneal::GenericAnnealer(config).solve(model);
-      const auto& r = results[index];
-      if (reference == nullptr) {
-        reference = &results[index];
-      } else if (r.spins != reference->spins ||
-                 r.best_spins != reference->best_spins ||
-                 r.energy_hw != reference->energy_hw ||
-                 r.best_energy_hw != reference->best_energy_hw ||
-                 r.flips != reference->flips ||
-                 r.update_cycles != reference->update_cycles ||
-                 r.storage.macs != reference->storage.macs ||
-                 r.storage.mac_bit_reads != reference->storage.mac_bit_reads ||
-                 r.storage.writeback_events !=
-                     reference->storage.writeback_events ||
-                 r.storage.writeback_bits != reference->storage.writeback_bits ||
-                 r.storage.pseudo_read_flips !=
-                     reference->storage.pseudo_read_flips) {
-        return false;
-      }
-      ++index;
-    }
-  }
-  return true;
+  config.memoize_partial_sums = false;
+  const auto a = cim::anneal::GenericAnnealer(config).solve(model);
+  config.memoize_partial_sums = true;
+  const auto b = cim::anneal::GenericAnnealer(config).solve(model);
+  return a.spins == b.spins && a.best_spins == b.best_spins &&
+         a.energy_hw == b.energy_hw && a.best_energy_hw == b.best_energy_hw &&
+         a.flips == b.flips && a.update_cycles == b.update_cycles &&
+         a.storage.macs == b.storage.macs &&
+         a.storage.mac_bit_reads == b.storage.mac_bit_reads &&
+         a.storage.writeback_events == b.storage.writeback_events &&
+         a.storage.writeback_bits == b.storage.writeback_bits &&
+         a.storage.pseudo_read_flips == b.storage.pseudo_read_flips;
 }
 
 }  // namespace
@@ -246,8 +226,8 @@ int main() {
     }
     table.add_footnote(
         "best energy over " + std::to_string(seed_count) +
-        " seeds, model units; equiv = scalar/vector x memo variants "
-        "bit-identical incl. StorageCounters");
+        " seeds, model units; equiv = memo on/off bit-identical incl. "
+        "StorageCounters");
     table.print();
 
     Json report = Json::object();

@@ -11,7 +11,8 @@
 // bfs-blocks, degree-major); --warm-dir enables the persistent spin
 // warm-start store, so a second run on the same instance starts from the
 // stored best assignment. A malformed or out-of-range option (see
-// core/cli.hpp) is reported in one line with exit status 2.
+// core/cli.hpp) or a stray positional argument is reported in one line
+// with exit status 2.
 #include <cstdio>
 #include <exception>
 #include <string>

@@ -11,8 +11,9 @@
 //     (writes telem.json + telem.trace.json — load the latter in
 //      chrome://tracing or ui.perfetto.dev)
 //
-// A malformed or out-of-range --p or --seed is reported in one line with
-// exit status 2.
+// A malformed or out-of-range --p or --seed, or an --instance name that
+// names no known family or size, is reported in one line with exit
+// status 2.
 #include <cstdio>
 #include <exception>
 #include <fstream>

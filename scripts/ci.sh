@@ -6,16 +6,11 @@
 #   fast (default) — release preset (warnings-as-errors): configure, build,
 #                    ctest (includes lint.determinism + lint.selftest),
 #                    the perfbench smoke run over all four end-to-end
-#                    workloads,
-#                    the annealer suites re-run with the vector kernel
-#                    forced on and off and with the partial-sum memo
-#                    disabled, a CIMANNEAL_DISABLE_SIMD=ON
-#                    portable-fallback build of the kernel suites, the
-#                    bench smoke runs (BENCH_swap_kernel, BENCH_reuse and
-#                    BENCH_ext_qubo with structural gates), then cimlint
-#                    (archiving
-#                    lint.sarif), the GCC -fanalyzer triage gate,
-#                    clang-tidy, and the merged analysis.sarif artifact.
+#                    workloads, the bench smoke runs (BENCH_swap_kernel,
+#                    BENCH_reuse and BENCH_ext_qubo with structural
+#                    gates), then cimlint (archiving lint.sarif), the GCC
+#                    -fanalyzer triage gate, clang-tidy, and the merged
+#                    analysis.sarif artifact.
 #   full           — fast + the asan-ubsan and tsan presets over the whole
 #                    test suite. This is the gate every perf PR must pass.
 #
@@ -76,41 +71,6 @@ echo "==== perfbench smoke (the four end-to-end workloads at small scale)"
 CARGO_TARGET_DIR="${repo_root}/build/perfbench" \
   python3 perfbench/run.py --smoke
 
-# The annealer suites run once per kernel path: CIMANNEAL_VECTOR_KERNEL
-# seeds the `vector_kernel` config default, so these legs prove both the
-# bit-sliced path and the scalar oracle stay green regardless of the
-# environment CI happens to inherit. The bit-identity tests inside the
-# suites compare the two paths directly; these legs additionally pin the
-# default-path plumbing.
-anneal_suites='^(Annealer|AnnealEdge|MaxCutAnnealer|GenericAnnealer|SwapKernel|Ensemble|EnsembleThreads|Tempering|Integration|CimSolver|TopRing|NoiseSource)\.'
-for vec in 1 0; do
-  echo "==== annealer suites with CIMANNEAL_VECTOR_KERNEL=${vec}"
-  CIMANNEAL_VECTOR_KERNEL="${vec}" \
-    ctest --preset release -j "${jobs}" -R "${anneal_suites}"
-done
-
-# Same idea for the partial-sum memo: it defaults on, so the discovery run
-# above already covers the memoized path; this leg proves the recompute
-# path (the §9 oracle the memo must stay bit-identical to) stays green
-# when the environment disables it.
-echo "==== annealer suites with CIMANNEAL_MEMOIZE=0"
-CIMANNEAL_MEMOIZE=0 \
-  ctest --preset release -j "${jobs}" -R "${anneal_suites}"
-
-echo "==== portable-SIMD build (no AVX2/popcnt tiers compiled in)"
-# A separate tree with CIMANNEAL_DISABLE_SIMD=ON: every util::simd entry
-# point must fall back to the portable scalar bodies and still match the
-# oracle bit for bit. Only the kernel-adjacent suites rebuild here.
-portable_dir="${repo_root}/build/portable-simd"
-cmake -B "${portable_dir}" -S "${repo_root}" \
-  -DCMAKE_BUILD_TYPE=Release -DCIMANNEAL_WERROR=ON \
-  -DCIMANNEAL_DISABLE_SIMD=ON
-cmake --build "${portable_dir}" -j "${jobs}" --target \
-  test_cim_bitslice test_cim_storage test_anneal_swap_kernel \
-  test_anneal_maxcut
-(cd "${portable_dir}" && ctest -j "${jobs}" \
-  -R '^(PackedBits|BitPlaneMatrix|Simd|PackedMac|DegenerateConfigs|Storage|SwapKernel|MaxCutAnnealer)\.')
-
 echo "==== bench smoke (swap-kernel + parallel-runtime benches at reduced scale)"
 bench_bin="${repo_root}/build/release/bench/bench_micro_kernels"
 bench_out_dir="${repo_root}/build/release/bench-out"
@@ -122,9 +82,9 @@ if [[ -x "${bench_bin}" ]]; then
     CIMANNEAL_BENCH_OUT_TRACE="${bench_out_dir}/BENCH_telemetry.json" \
     "${bench_bin}" --benchmark_filter='BM_SwapKernel.*|BM_DistanceCacheRescan.*'
   require_artifact "${bench_out_dir}/BENCH_swap_kernel.json"
-  # Structural gate on the swap-kernel report: the vector head-to-head
-  # columns must be present and self-consistent — a bench refactor that
-  # silently drops the vector rows must fail here, not in a dashboard.
+  # Structural gate on the swap-kernel report: every kernel column and
+  # speedup must be present and positive — a bench refactor that silently
+  # drops a column must fail here, not in a dashboard.
   python3 - "${bench_out_dir}/BENCH_swap_kernel.json" <<'PY'
 import json, sys
 report = json.load(open(sys.argv[1]))
@@ -132,19 +92,13 @@ assert report["simd_backend"] in ("avx2", "popcnt", "neon", "portable"), \
     report.get("simd_backend")
 assert report["scales"], "empty swap-kernel scales table"
 for row in report["scales"]:
-    for key in ("dense_ns_per_swap", "sparse_ns_per_swap",
-                "incremental_ns_per_swap", "vector_ns_per_swap",
-                "speedup_vector_vs_dense"):
-        assert row.get(key, 0) > 0, (key, row)
-assert report["replica_scales"], "empty replica head-to-head table"
-for row in report["replica_scales"]:
-    for key in ("scalar_ns_per_swap", "sparse_ns_per_swap",
-                "vector_ns_per_swap", "speedup_vector_vs_scalar",
-                "speedup_vector_vs_sparse"):
+    for key in ("window_rows", "active_rows", "dense_ns_per_swap",
+                "sparse_ns_per_swap", "incremental_ns_per_swap",
+                "speedup_sparse_vs_dense", "speedup_incremental_vs_dense"):
         assert row.get(key, 0) > 0, (key, row)
 print("swap-kernel report structure OK "
       f"(simd_backend={report['simd_backend']}, "
-      f"{len(report['replica_scales'])} replica rows)")
+      f"{len(report['scales'])} scale rows)")
 PY
   require_artifact "${bench_out_dir}/BENCH_parallel_runtime.json"
   # One telemetry snapshot + Chrome trace per CI run (loadable in
@@ -205,14 +159,14 @@ if [[ -x "${qubo_bin}" ]]; then
   require_artifact "${bench_out_dir}/BENCH_ext_qubo.json"
   # Structural gate on the front-end report: all three problem families
   # must be covered, every row needs its quality and speed columns, and
-  # the four kernel variants must have stayed bit-identical on every
-  # workload — a refactor that breaks the scalar/vector/memo equivalence
-  # must fail here, not in a dashboard.
+  # memoization on and off must have stayed bit-identical on every
+  # workload — a refactor that breaks the memo equivalence must fail
+  # here, not in a dashboard.
   python3 - "${bench_out_dir}/BENCH_ext_qubo.json" <<'PY'
 import json, sys
 report = json.load(open(sys.argv[1]))
 assert report["benchmark"] == "ext_qubo", report.get("benchmark")
-assert report["all_variants_equivalent"] is True, "kernel variants diverged"
+assert report["all_variants_equivalent"] is True, "memo on/off diverged"
 rows = report["rows"]
 assert rows, "empty ext_qubo row table"
 families = {row["family"] for row in rows}

@@ -167,29 +167,16 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
     memo_stamp.assign(n, 0);
   }
 
-  hw::PackedBits sigma_packed;
-  hw::PackedBits ones_packed;
-  if (config_.vector_kernel) {
-    sigma_packed.resize(rows);
-    ones_packed.resize(rows);
-    for (std::uint32_t r = 0; r < rows; ++r) ones_packed.set(r);
-    if (mapping.has_fields) sigma_packed.set(static_cast<std::uint32_t>(n));
-  }
-
   const auto window_mac = [&](ising::SpinIndex v,
-                              std::span<const std::uint8_t> dense,
-                              std::span<const std::uint64_t> packed) {
+                              std::span<const std::uint8_t> input) {
     Window& w = windows[group_of[v]];
     const hw::ColIndex col(col_of[v]);
-    return config_.vector_kernel
-               ? w.pos->mac_packed(col, packed) -
-                     w.neg->mac_packed(col, packed)
-               : w.pos->mac(col, dense) - w.neg->mac(col, dense);
+    return w.pos->mac(col, input) - w.neg->mac(col, input);
   };
 
   const auto refresh_row_sums = [&] {
     for (std::uint32_t v = 0; v < n; ++v) {
-      row_sum[v] = window_mac(v, ones, ones_packed.words());
+      row_sum[v] = window_mac(v, ones);
     }
   };
   refresh_row_sums();
@@ -212,13 +199,6 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
     }
     for (std::uint32_t v = 0; v < n; ++v) {
       sigma_plus[v] = result.spins[v] > 0 ? 1 : 0;
-      if (config_.vector_kernel) {
-        if (sigma_plus[v]) {
-          sigma_packed.set(v);
-        } else {
-          sigma_packed.clear(v);
-        }
-      }
     }
 
     for (std::size_t g = 0; g < partition.groups.size(); ++g) {
@@ -231,7 +211,7 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
           mac = memo_value[v];
           ++result.memo_hits;
         } else {
-          mac = window_mac(v, sigma_plus, sigma_packed.words());
+          mac = window_mac(v, sigma_plus);
           if (memoize) {
             memo_value[v] = mac;
             memo_stamp[v] = input_gen;
@@ -268,13 +248,6 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
         if (next != result.spins[v]) {
           result.spins[v] = next;
           sigma_plus[v] = next > 0 ? 1 : 0;
-          if (config_.vector_kernel) {
-            if (sigma_plus[v]) {
-              sigma_packed.set(v);
-            } else {
-              sigma_packed.clear(v);
-            }
-          }
           ++result.flips;
           // σ+ changed: memoized fields of every spin are stale.
           input_gen = ++gen_counter;

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "anneal/kernel_config.hpp"
 #include "anneal/noise_source.hpp"
 #include "cim/storage.hpp"
 #include "ising/generic.hpp"
@@ -41,12 +40,10 @@ struct GenericAnnealConfig {
   /// quality/parallelism axis the bench sweeps).
   ising::GroupStrategy strategy = ising::GroupStrategy::kChromatic;
   std::uint32_t group_block = 64;  ///< width bound for blocked strategies
-  /// Bit-sliced packed MACs; bit-identical to the scalar oracle
-  /// (energies, flip sequence, StorageCounters).
-  bool vector_kernel = default_vector_kernel();
   /// Per-spin partial-sum memoization under an input-state generation
-  /// (DESIGN.md §16); bit-identical to the unmemoized paths.
-  bool memoize_partial_sums = default_memoize();
+  /// (DESIGN.md §16); bit-identical to the unmemoized path (energies,
+  /// flip sequence, StorageCounters).
+  bool memoize_partial_sums = true;
   std::uint32_t weight_bits = 8;
   std::uint64_t seed = 1;
   /// Optional warm start: full ±1 assignment replacing the random

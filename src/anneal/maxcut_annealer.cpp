@@ -75,6 +75,9 @@ MaxCutResult MaxCutAnnealer::solve(
   const auto colors = graph.chromatic_partition();
   std::uint32_t color_count = 0;
   for (const auto c : colors) color_count = std::max(color_count, c + 1);
+  // Each class's vertices in ascending order — a sweep's update order.
+  std::vector<std::vector<std::uint32_t>> color_members(color_count);
+  for (std::uint32_t v = 0; v < n; ++v) color_members[colors[v]].push_back(v);
 
   MaxCutResult result;
   result.color_count = color_count;
@@ -109,26 +112,11 @@ MaxCutResult MaxCutAnnealer::solve(
     memo_stamp.assign(n, 0);
   }
 
-  // Vector-kernel state: σ+ and the all-ones vector as packed 64-cell
-  // words, the flip sites updated bit-for-bit with sigma_plus.
-  hw::PackedBits sigma_packed;
-  hw::PackedBits ones_packed;
-  if (config_.vector_kernel) {
-    sigma_packed.resize(rows);
-    ones_packed.resize(rows);
-    for (std::uint32_t v = 0; v < n; ++v) ones_packed.set(v);
-  }
-
   const auto refresh_row_sums = [&] {
     // One all-ones MAC per column per plane; static between write-backs.
     for (std::uint32_t v = 0; v < n; ++v) {
-      row_sum[v] =
-          config_.vector_kernel
-              ? pos_storage->mac_packed(hw::ColIndex(v), ones_packed.words()) -
-                    neg_storage->mac_packed(hw::ColIndex(v),
-                                            ones_packed.words())
-              : pos_storage->mac(hw::ColIndex(v), ones) -
-                    neg_storage->mac(hw::ColIndex(v), ones);
+      row_sum[v] = pos_storage->mac(hw::ColIndex(v), ones) -
+                   neg_storage->mac(hw::ColIndex(v), ones);
     }
   };
 
@@ -147,18 +135,10 @@ MaxCutResult MaxCutAnnealer::solve(
     }
     for (std::uint32_t v = 0; v < n; ++v) {
       sigma_plus[v] = result.spins[v] > 0 ? 1 : 0;
-      if (config_.vector_kernel) {
-        if (sigma_plus[v]) {
-          sigma_packed.set(v);
-        } else {
-          sigma_packed.clear(v);
-        }
-      }
     }
 
-    for (std::uint32_t color = 0; color < color_count; ++color) {
-      for (std::uint32_t v = 0; v < n; ++v) {
-        if (colors[v] != color) continue;
+    for (const auto& members : color_members) {
+      for (const std::uint32_t v : members) {
         // field_v = Σ_j w_vj σ_j = 2·(MAC+ − MAC−)(σ+) − row_sum.
         std::int64_t mac;
         if (memoize && memo_stamp[v] == input_gen) {
@@ -169,13 +149,8 @@ MaxCutResult MaxCutAnnealer::solve(
           mac = memo_value[v];
           ++result.memo_hits;
         } else {
-          mac = config_.vector_kernel
-                    ? pos_storage->mac_packed(hw::ColIndex(v),
-                                              sigma_packed.words()) -
-                          neg_storage->mac_packed(hw::ColIndex(v),
-                                                  sigma_packed.words())
-                    : pos_storage->mac(hw::ColIndex(v), sigma_plus) -
-                          neg_storage->mac(hw::ColIndex(v), sigma_plus);
+          mac = pos_storage->mac(hw::ColIndex(v), sigma_plus) -
+                neg_storage->mac(hw::ColIndex(v), sigma_plus);
           if (memoize) {
             memo_value[v] = mac;
             memo_stamp[v] = input_gen;
@@ -210,13 +185,6 @@ MaxCutResult MaxCutAnnealer::solve(
         if (next != result.spins[v]) {
           result.spins[v] = next;
           sigma_plus[v] = next > 0 ? 1 : 0;
-          if (config_.vector_kernel) {
-            if (sigma_plus[v]) {
-              sigma_packed.set(v);
-            } else {
-              sigma_packed.clear(v);
-            }
-          }
           ++result.flips;
           // σ+ changed: memoized fields of every vertex are stale.
           input_gen = ++gen_counter;

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "anneal/kernel_config.hpp"
 #include "anneal/noise_source.hpp"
 #include "cim/storage.hpp"
 #include "ising/maxcut.hpp"
@@ -29,19 +28,13 @@ struct MaxCutConfig {
   noise::AnnealSchedule::Params schedule;  ///< sweeps = total_iterations
   noise::SramNoiseParams sram;
   NoiseMode noise = NoiseMode::kSramWeight;
-  /// Bit-sliced packed MACs (cim/bitslice.hpp): the spin register σ+ is
-  /// kept as packed 64-cell words and every field evaluation goes through
-  /// WeightStorage::mac_packed. Bit-identical to the dense scalar path
-  /// (cuts, flip sequence, storage counters), which stays the oracle.
-  bool vector_kernel = default_vector_kernel();
   /// Per-vertex partial-sum memoization (DESIGN.md §16): the combined
   /// (MAC+ − MAC−)(σ+) of a vertex is remembered under an input-state
   /// generation that advances on any spin flip or write-back, so sweeps
   /// over a frozen neighbourhood skip the host-side reduction while still
   /// charging the hardware read cost. Bit-identical to the unmemoized
-  /// paths (cuts, flip sequence, StorageCounters). Defaults from
-  /// CIMANNEAL_MEMOIZE (unset → on).
-  bool memoize_partial_sums = default_memoize();
+  /// path (cuts, flip sequence, StorageCounters).
+  bool memoize_partial_sums = true;
   std::uint32_t weight_bits = 8;
   std::uint64_t seed = 1;
   /// Optional warm start (src/store): a full ±1 spin assignment from a

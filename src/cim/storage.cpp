@@ -6,7 +6,6 @@
 
 #include "util/error.hpp"
 #include "util/parallel_for.hpp"
-#include "util/simd.hpp"
 
 namespace cim::hw {
 
@@ -17,24 +16,6 @@ StorageCounters& StorageCounters::operator+=(const StorageCounters& other) {
   writeback_bits += other.writeback_bits;
   pseudo_read_flips += other.pseudo_read_flips;
   return *this;
-}
-
-void WeightStorage::mac_packed_batch(std::span<const PackedMac> reqs,
-                                     std::span<const std::uint64_t> inputs,
-                                     std::uint32_t words_per_input,
-                                     std::span<std::int64_t> out) {
-  CIM_REQUIRE(out.size() == reqs.size(),
-              "packed MAC batch output span must have one entry per request");
-  CIM_REQUIRE(words_per_input == packed_words(rows()),
-              "packed MAC batch word stride does not match the window's "
-              "packed row count");
-  for (std::size_t k = 0; k < reqs.size(); ++k) {
-    const std::size_t base =
-        static_cast<std::size_t>(reqs[k].input) * words_per_input;
-    CIM_REQUIRE(base + words_per_input <= inputs.size(),
-                "packed MAC batch request addresses past the input arena");
-    out[k] = mac_packed(reqs[k].col, inputs.subspan(base, words_per_input));
-  }
 }
 
 namespace {
@@ -113,14 +94,12 @@ class FastStorage final : public StorageBase {
       }
     }
     current_ = golden_;
-    packed_valid_ = false;
     apply_stuck_faults();
   }
 
   void write_back(const noise::SchedulePhase& phase) override {
     CIM_ASSERT_MSG(!golden_.empty(), "write_back before write");
     current_ = golden_;
-    packed_valid_ = false;
     ++counters_.writeback_events;
     counters_.writeback_bits += weight_count() * bits_;
     apply_stuck_faults();
@@ -202,52 +181,6 @@ class FastStorage final : public StorageBase {
     return acc;
   }
 
-  std::int64_t mac_packed(ColIndex col_idx,
-                          std::span<const std::uint64_t> input) override {
-    const std::uint32_t col = col_idx.get();
-    CIM_ASSERT(col < cols_);
-    ensure_packed();
-    const std::int64_t acc = static_cast<std::int64_t>(packed_.mac(col, input));
-    ++counters_.macs;
-    counters_.mac_bit_reads += static_cast<std::uint64_t>(rows_) * bits_;
-    return acc;
-  }
-
-  void mac_packed_batch(std::span<const PackedMac> reqs,
-                        std::span<const std::uint64_t> inputs,
-                        std::uint32_t words_per_input,
-                        std::span<std::int64_t> out) override {
-    CIM_REQUIRE(out.size() == reqs.size(),
-                "packed MAC batch output span must have one entry per "
-                "request");
-    CIM_REQUIRE(words_per_input == packed_words(rows_),
-                "packed MAC batch word stride does not match the window's "
-                "packed row count");
-    ensure_packed();
-    in_ptrs_.resize(reqs.size());
-    plane_ptrs_.resize(reqs.size());
-    for (std::size_t k = 0; k < reqs.size(); ++k) {
-      const std::uint32_t col = reqs[k].col.get();
-      CIM_ASSERT(col < cols_);
-      const std::size_t base =
-          static_cast<std::size_t>(reqs[k].input) * words_per_input;
-      CIM_REQUIRE(base + words_per_input <= inputs.size(),
-                  "packed MAC batch request addresses past the input arena");
-      in_ptrs_[k] = inputs.data() + base;
-      plane_ptrs_[k] = packed_.column_planes(col).data();
-    }
-    // One kernel call for the whole batch: the per-MAC dispatch and call
-    // overhead dominates small windows.
-    util::simd::mac_bitplanes_batch(in_ptrs_.data(), plane_ptrs_.data(),
-                                    packed_.words(), bits_, out.data(),
-                                    reqs.size());
-    // Bulk charge: one update per batch, but the same totals as the
-    // request-at-a-time loop — the counters model per-MAC hardware work.
-    counters_.macs += reqs.size();
-    counters_.mac_bit_reads +=
-        static_cast<std::uint64_t>(reqs.size()) * rows_ * bits_;
-  }
-
   // Test/debug observability peek, not a modelled wordline access — the
   // hardware never reads single weights outside a MAC.
   // NOLINT(cim-counter-charge)
@@ -264,20 +197,6 @@ class FastStorage final : public StorageBase {
     return static_cast<std::size_t>(col) * rows_ + row;
   }
 
-  // Rebuilds the bit-plane mirror from the corrupted byte image. Pure
-  // host-side re-layout of already-read state — the physical reads are
-  // charged by the MAC entry points, so the loop over current_ here is
-  // deliberately uncharged. NOLINT(cim-counter-charge)
-  void ensure_packed() {
-    if (packed_valid_) return;
-    packed_.reset(rows_, cols_, bits_);
-    for (std::uint32_t c = 0; c < cols_; ++c) {
-      for (std::uint32_t r = 0; r < rows_; ++r) {
-        packed_.set_weight(r, c, current_[slot(r, c)]);
-      }
-    }
-    packed_valid_ = true;
-  }
   // Hard manufacturing faults: stuck cells override every write at any
   // supply voltage (soft pseudo-read flips are applied afterwards).
   // Charged by the callers (write/write_back own the writeback counters).
@@ -304,10 +223,6 @@ class FastStorage final : public StorageBase {
   std::vector<std::uint8_t> golden_;
   std::vector<std::uint8_t> current_;
   std::vector<std::uint64_t> chunk_flips_;  ///< write-back flips per chunk
-  BitPlaneMatrix packed_;
-  bool packed_valid_ = false;
-  std::vector<const std::uint64_t*> in_ptrs_;
-  std::vector<const std::uint64_t*> plane_ptrs_;
 };
 
 class BitLevelStorage final : public StorageBase {
@@ -339,7 +254,6 @@ class BitLevelStorage final : public StorageBase {
       }
     }
     std::fill(touched_.begin(), touched_.end(), 0);
-    packed_valid_ = false;
     apply_stuck_faults();
   }
 
@@ -347,7 +261,6 @@ class BitLevelStorage final : public StorageBase {
     CIM_ASSERT_MSG(!stored_.empty(), "write_back before write");
     stored_ = golden_bits_;
     std::fill(touched_.begin(), touched_.end(), 0);
-    packed_valid_ = false;
     phase_ = phase;
     ++counters_.writeback_events;
     counters_.writeback_bits += stored_.size();
@@ -439,44 +352,6 @@ class BitLevelStorage final : public StorageBase {
     return static_cast<std::int64_t>(value);
   }
 
-  std::int64_t mac_packed(ColIndex col_idx,
-                          std::span<const std::uint64_t> input) override {
-    const std::uint32_t col = col_idx.get();
-    CIM_ASSERT(col < cols_);
-    CIM_REQUIRE(input.size() == packed_words(rows_),
-                "packed MAC input word count does not match the window's "
-                "packed row count");
-    const bool lazy_noise = model_ &&
-                            policy_ == PseudoReadPolicy::kFlipOnAccess &&
-                            phase_.noisy_lsbs > 0;
-    if (lazy_noise) {
-      // Identical whole-column lazy corruption as the scalar paths, in
-      // the same row-major order — the error pattern (and flip counter)
-      // must not depend on the kernel.
-      const std::uint32_t noisy = std::min(phase_.noisy_lsbs, bits_);
-      for (std::uint32_t r = 0; r < rows_; ++r) {
-        const std::size_t w = index(r, col);
-        for (std::uint32_t b = 0; b < noisy; ++b) {
-          const std::size_t cell = w * bits_ + b;
-          if (!touched_[cell]) {
-            corrupt_cell(w, b);
-            touched_[cell] = 1;
-          }
-        }
-      }
-    }
-    ensure_packed();
-    // Popcount per bit-plane, then the same shift_and_add_sparse reduction
-    // as the sparse kernel — the tree charges its full-fan-in ops either
-    // way, so the reduction counters match the oracle bit for bit.
-    plane_sums_.assign(bits_, 0);
-    packed_.plane_sums(col, input, plane_sums_);
-    const std::uint64_t value = tree_.shift_and_add_sparse(plane_sums_);
-    ++counters_.macs;
-    counters_.mac_bit_reads += static_cast<std::uint64_t>(rows_) * bits_;
-    return static_cast<std::int64_t>(value);
-  }
-
   // Test/debug observability peek, not a modelled wordline access.
   // NOLINT(cim-counter-charge)
   std::uint8_t weight(RowIndex row, ColIndex col) const override {
@@ -512,29 +387,7 @@ class BitLevelStorage final : public StorageBase {
     if (settled != bit) {
       stored_[cell] = settled ? 1 : 0;
       ++counters_.pseudo_read_flips;
-      packed_valid_ = false;
     }
-  }
-
-  // Rebuilds the bit-plane mirror from the (possibly corrupted) cell
-  // array. Pure host-side re-layout — the physical reads are charged by
-  // the MAC entry points, so the sweep over stored_ is deliberately
-  // uncharged. NOLINT(cim-counter-charge)
-  void ensure_packed() {
-    if (packed_valid_) return;
-    packed_.reset(rows_, cols_, bits_);
-    for (std::uint32_t r = 0; r < rows_; ++r) {
-      for (std::uint32_t c = 0; c < cols_; ++c) {
-        const std::size_t w = index(r, c);
-        std::uint8_t value = 0;
-        for (std::uint32_t b = 0; b < bits_; ++b) {
-          value = static_cast<std::uint8_t>(value |
-                                            (stored_[w * bits_ + b] << b));
-        }
-        packed_.set_weight(r, c, value);
-      }
-    }
-    packed_valid_ = true;
   }
 
   PseudoReadPolicy policy_;
@@ -547,8 +400,6 @@ class BitLevelStorage final : public StorageBase {
   std::vector<std::uint8_t> touched_;
   std::vector<std::uint8_t> planes_;
   std::vector<std::uint32_t> plane_sums_;
-  BitPlaneMatrix packed_;
-  bool packed_valid_ = false;
 };
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <limits>
 #include <string>
 
+#include "tsp/generator.hpp"
 #include "util/error.hpp"
 
 namespace cim::core {
@@ -17,6 +18,10 @@ std::uint64_t parse_seed(const util::Args& args) {
 }  // namespace
 
 SolverConfig qubo_cli_config(const util::Args& args) {
+  if (!args.positional().empty()) {
+    throw UsageError("unexpected argument '" + args.positional().front() +
+                     "' (the input file goes after --gset or --jh)");
+  }
   SolverConfig config;
   config.schedule.total_iterations = static_cast<std::uint32_t>(
       args.get_int_in("sweeps", 400, 1, kCliMaxSweeps));
@@ -44,6 +49,13 @@ SolverConfig tsplib_cli_config(const util::Args& args) {
   config.seed = parse_seed(args);
   config.telemetry_out = args.get_or("telemetry-out", "");
   config.warm_start_dir = args.get_or("warm-start-dir", "");
+  if (const auto name = args.get("instance")) {
+    try {
+      tsp::check_paper_instance_name(*name);
+    } catch (const ConfigError& e) {
+      throw UsageError(std::string("--instance: ") + e.what());
+    }
+  }
   return config;
 }
 

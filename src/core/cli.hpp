@@ -20,10 +20,14 @@ inline constexpr std::int64_t kCliMaxBlock = std::int64_t{1} << 20;
 inline constexpr std::int64_t kCliMinP = 2;
 inline constexpr std::int64_t kCliMaxP = 32;
 
-/// qubo_solver: --seed, --sweeps, --block, --strategy, --warm-dir.
+/// qubo_solver: --seed, --sweeps, --block, --strategy, --warm-dir. The
+/// input file comes with --gset or --jh, so a positional argument is
+/// rejected.
 SolverConfig qubo_cli_config(const util::Args& args);
 
-/// tsplib_solver: --p, --seed, --telemetry-out, --warm-start-dir.
+/// tsplib_solver: --p, --seed, --telemetry-out, --warm-start-dir. An
+/// --instance name that tsp::make_paper_instance would reject (an unknown
+/// family, a missing or out-of-range size suffix) is rejected here.
 SolverConfig tsplib_cli_config(const util::Args& args);
 
 }  // namespace cim::core

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <string_view>
+#include <system_error>
 
 #include "tsp/tsplib.hpp"
 #include "util/error.hpp"
@@ -269,7 +272,7 @@ namespace {
 struct NamedSpec {
   const char* name;
   std::size_t n;
-  enum class Family { kDrill, kClustered, kPla, kGeographic } family;
+  enum class Family { kDrill, kClustered, kPla, kGeographic, kUniform } family;
 };
 
 constexpr NamedSpec kPaperInstances[] = {
@@ -293,6 +296,43 @@ const NamedSpec* find_spec(const std::string& name) {
     if (name == spec.name) return &spec;
   }
   return nullptr;
+}
+
+/// The family and size a synthetic instance name asks for: a paper
+/// instance, or a generic "famN" name such as pcb2000, rl900, pla12000 or
+/// geo5000. Throws ConfigError for an unknown family or a size suffix
+/// that is missing, zero or out of range.
+NamedSpec resolve_name(const std::string& name) {
+  if (const NamedSpec* spec = find_spec(name)) return *spec;
+  std::size_t digits = name.size();
+  while (digits > 0 &&
+         std::isdigit(static_cast<unsigned char>(name[digits - 1]))) {
+    --digits;
+  }
+  const std::string prefix = name.substr(0, digits);
+  const std::string_view number = std::string_view(name).substr(digits);
+  if (number.empty()) {
+    throw ConfigError("unknown instance name: " + name);
+  }
+  std::size_t n = 0;
+  const auto parsed =
+      std::from_chars(number.data(), number.data() + number.size(), n);
+  if (parsed.ec != std::errc{} || n == 0) {
+    throw ConfigError("instance size out of range in name: " + name);
+  }
+  using Family = NamedSpec::Family;
+  if (prefix == "pcb") return {nullptr, n, Family::kDrill};
+  if (prefix == "rl" || prefix == "clustered") {
+    return {nullptr, n, Family::kClustered};
+  }
+  if (prefix == "pla") return {nullptr, n, Family::kPla};
+  if (prefix == "usa" || prefix == "d" || prefix == "geo") {
+    return {nullptr, n, Family::kGeographic};
+  }
+  if (prefix == "uniform" || prefix == "u") {
+    return {nullptr, n, Family::kUniform};
+  }
+  throw ConfigError("unknown instance family: " + name);
 }
 
 std::uint64_t name_seed(const std::string& name) {
@@ -323,45 +363,11 @@ Instance make_paper_instance(const std::string& name) {
     return load_tsplib(tsplib_path(name).string());
   }
 
-  const NamedSpec* spec = find_spec(name);
-  std::size_t n = 0;
-  auto family = NamedSpec::Family::kClustered;
-  if (spec) {
-    n = spec->n;
-    family = spec->family;
-  } else {
-    // Generic "famN" names, e.g. pcb2000, rl900, pla12000, geo5000.
-    std::size_t digits = name.size();
-    while (digits > 0 &&
-           std::isdigit(static_cast<unsigned char>(name[digits - 1]))) {
-      --digits;
-    }
-    const std::string prefix = name.substr(0, digits);
-    const std::string number = name.substr(digits);
-    if (number.empty()) {
-      throw ConfigError("unknown instance name: " + name);
-    }
-    n = static_cast<std::size_t>(std::stoull(number));
-    if (prefix == "pcb") {
-      family = NamedSpec::Family::kDrill;
-    } else if (prefix == "rl" || prefix == "clustered") {
-      family = NamedSpec::Family::kClustered;
-    } else if (prefix == "pla") {
-      family = NamedSpec::Family::kPla;
-    } else if (prefix == "usa" || prefix == "d" || prefix == "geo") {
-      family = NamedSpec::Family::kGeographic;
-    } else if (prefix == "uniform" || prefix == "u") {
-      Instance inst = generate_uniform(n, name_seed(name));
-      return Instance(name, inst.metric(),
-                      {inst.coords().begin(), inst.coords().end()});
-    } else {
-      throw ConfigError("unknown instance family: " + name);
-    }
-  }
-
+  const NamedSpec spec = resolve_name(name);
+  const std::size_t n = spec.n;
   const std::uint64_t seed = name_seed(name);
   Instance generated = [&] {
-    switch (family) {
+    switch (spec.family) {
       case NamedSpec::Family::kDrill:
         return generate_drill_grid(n, seed);
       case NamedSpec::Family::kClustered:
@@ -370,14 +376,22 @@ Instance make_paper_instance(const std::string& name) {
         return generate_pla(n, seed);
       case NamedSpec::Family::kGeographic:
         return generate_geographic(n, seed);
+      case NamedSpec::Family::kUniform:
+        return generate_uniform(n, seed);
     }
     throw InvariantError("unreachable instance family");
   }();
   Instance inst(name, generated.metric(),
                 {generated.coords().begin(), generated.coords().end()});
-  inst.set_comment("synthetic mimic of TSPLIB " + name +
-                   " (set CIMANNEAL_TSPLIB_DIR to use real data)");
+  if (spec.family != NamedSpec::Family::kUniform) {
+    inst.set_comment("synthetic mimic of TSPLIB " + name +
+                     " (set CIMANNEAL_TSPLIB_DIR to use real data)");
+  }
   return inst;
+}
+
+void check_paper_instance_name(const std::string& name) {
+  if (!have_real_tsplib(name)) resolve_name(name);
 }
 
 }  // namespace cim::tsp

@@ -53,6 +53,10 @@ Instance generate_geographic(std::size_t n, std::uint64_t seed,
 /// otherwise generates the mimic deterministically from the name.
 Instance make_paper_instance(const std::string& name);
 
+/// Throws ConfigError unless make_paper_instance(name) would accept the
+/// name; generates nothing.
+void check_paper_instance_name(const std::string& name);
+
 /// True when `make_paper_instance(name)` would load real TSPLIB data.
 bool have_real_tsplib(const std::string& name);
 

@@ -92,6 +92,17 @@ TEST(AdderTree, ShiftAndAddCountsBitPlaneReductions) {
   EXPECT_EQ(tree.reductions(), 8U);
 }
 
+TEST(AdderTree, SparseShiftAndAddChargesFullFanIn) {
+  // The sparse MAC path hands the tree per-plane product sums; the tree
+  // still charges one full-fan-in reduction per plane, like the dense
+  // shift-and-add (inactive rows feed zero products, not zero hardware).
+  AdderTree tree(10);
+  const std::vector<std::uint32_t> sums = {3, 7, 1};
+  EXPECT_EQ(tree.shift_and_add_sparse(sums), 3U + (7U << 1) + (1U << 2));
+  EXPECT_EQ(tree.reductions(), 3U);
+  EXPECT_EQ(tree.total_adder_ops(), 3U * 9U);
+}
+
 TEST(AdderTree, SingleInputPassThrough) {
   AdderTree tree(1);
   EXPECT_EQ(tree.reduce(std::vector<std::uint8_t>{1}), 1U);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cim/adder_tree.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
@@ -10,10 +11,13 @@ namespace cim::hw {
 namespace {
 
 std::vector<std::uint8_t> random_image(std::uint32_t rows, std::uint32_t cols,
-                                       std::uint64_t seed) {
+                                       std::uint64_t seed,
+                                       std::uint32_t bits = 8) {
   util::Rng rng(seed);
   std::vector<std::uint8_t> image(static_cast<std::size_t>(rows) * cols);
-  for (auto& w : image) w = static_cast<std::uint8_t>(rng.below(256));
+  for (auto& w : image) {
+    w = static_cast<std::uint8_t>(rng.below(1ULL << bits));
+  }
   return image;
 }
 
@@ -187,11 +191,7 @@ TEST(Storage, RowMajorWriteRoundTripsOnNonSquareWindow) {
   EXPECT_EQ(weight_image(*plane), image);
   std::vector<std::uint8_t> ones(kRows, 1);
   std::vector<std::uint32_t> all_rows(kRows);
-  std::vector<std::uint64_t> packed_ones(packed_words(kRows), 0);
-  for (std::uint32_t r = 0; r < kRows; ++r) {
-    all_rows[r] = r;
-    packed_ones[r / 64] |= std::uint64_t{1} << (r % 64);
-  }
+  for (std::uint32_t r = 0; r < kRows; ++r) all_rows[r] = r;
   for (std::uint32_t c = 0; c < kCols; ++c) {
     std::int64_t column_sum = 0;
     for (std::uint32_t r = 0; r < kRows; ++r) {
@@ -199,8 +199,6 @@ TEST(Storage, RowMajorWriteRoundTripsOnNonSquareWindow) {
     }
     EXPECT_EQ(plane->mac(ColIndex(c), ones), column_sum) << "column " << c;
     EXPECT_EQ(plane->mac_sparse(ColIndex(c), all_rows), column_sum)
-        << "column " << c;
-    EXPECT_EQ(plane->mac_packed(ColIndex(c), packed_ones), column_sum)
         << "column " << c;
     EXPECT_EQ(plane->mac_sparse(ColIndex(c), std::vector<std::uint32_t>{2}),
               image[2 * kCols + c])
@@ -238,6 +236,75 @@ TEST(Storage, SparseMacMatchesDense) {
     EXPECT_EQ(dense->counters().macs, sparse->counters().macs);
     EXPECT_EQ(dense->counters().mac_bit_reads,
               sparse->counters().mac_bit_reads);
+  }
+}
+
+// The central property: a randomized sweep over window shapes, weight
+// precisions, backends, pseudo-read policies and noise phases asserting
+// that dense and sparse MACs agree on values, final weights and every
+// StorageCounters field.
+TEST(Storage, PropertySweepDenseSparseBitIdentical) {
+  const noise::SramCellModel model(noise::SramNoiseParams{}, 101);
+  util::Rng rng(17);
+  struct Backend {
+    bool bit_level;
+    PseudoReadPolicy policy;
+  };
+  const Backend backends[] = {
+      {false, PseudoReadPolicy::kSettleAtWriteBack},
+      {true, PseudoReadPolicy::kSettleAtWriteBack},
+      {true, PseudoReadPolicy::kFlipOnAccess},
+  };
+  for (int config = 0; config < 12; ++config) {
+    const std::uint32_t rows = 2 + static_cast<std::uint32_t>(rng.below(90));
+    const std::uint32_t cols = 1 + static_cast<std::uint32_t>(rng.below(12));
+    const std::uint32_t bits = 1 + static_cast<std::uint32_t>(rng.below(8));
+    const bool noisy = rng.chance(0.7);
+    const auto image = random_image(rows, cols, 1000 + config, bits);
+    for (const Backend& backend : backends) {
+      SCOPED_TRACE(testing::Message()
+                   << "rows=" << rows << " cols=" << cols << " bits=" << bits
+                   << " bit_level=" << backend.bit_level);
+      const noise::SramCellModel* m = noisy ? &model : nullptr;
+      const auto make = [&] {
+        return backend.bit_level
+                   ? make_bit_level_storage(rows, cols, m, 4096, bits,
+                                            backend.policy)
+                   : make_fast_storage(rows, cols, m, 4096, bits);
+      };
+      auto dense = make();
+      auto sparse = make();
+      for (auto* s : {&dense, &sparse}) {
+        (*s)->write(image);
+        (*s)->write_back(phase(static_cast<std::uint64_t>(config), 0.30,
+                               noisy ? 6 : 0));
+      }
+      for (int trial = 0; trial < 8; ++trial) {
+        std::vector<std::uint8_t> input(rows);
+        std::vector<std::uint32_t> active;
+        for (std::uint32_t r = 0; r < rows; ++r) {
+          input[r] = rng.chance(0.4) ? 1 : 0;
+          if (input[r]) active.push_back(r);
+        }
+        const auto col = ColIndex(static_cast<std::uint32_t>(rng.below(cols)));
+        EXPECT_EQ(sparse->mac_sparse(col, active), dense->mac(col, input))
+            << "trial " << trial;
+      }
+      const auto& cd = dense->counters();
+      const auto& cs = sparse->counters();
+      EXPECT_EQ(cs.macs, cd.macs);
+      EXPECT_EQ(cs.mac_bit_reads, cd.mac_bit_reads);
+      EXPECT_EQ(cs.writeback_events, cd.writeback_events);
+      EXPECT_EQ(cs.writeback_bits, cd.writeback_bits);
+      EXPECT_EQ(cs.pseudo_read_flips, cd.pseudo_read_flips);
+      // Final weights identical across both state machines.
+      for (std::uint32_t r = 0; r < rows; ++r) {
+        for (std::uint32_t c = 0; c < cols; ++c) {
+          ASSERT_EQ(sparse->weight(RowIndex(r), ColIndex(c)),
+                    dense->weight(RowIndex(r), ColIndex(c)));
+        }
+      }
+    }
   }
 }
 
@@ -454,6 +521,29 @@ TEST(Storage, ValidationErrors) {
   // Wrong input size trips the invariant.
   EXPECT_THROW(storage->mac(ColIndex(0), std::vector<std::uint8_t>(3)),
                InvariantError);
+}
+
+TEST(DegenerateConfigs, FailFastWithConfigErrors) {
+  // Zero-sized windows and fan-in/plane mismatches must throw ConfigError
+  // with a diagnostic, not UB or silent empties.
+  EXPECT_THROW(make_fast_storage(0, 4, nullptr, 0), ConfigError);
+  EXPECT_THROW(make_fast_storage(4, 0, nullptr, 0), ConfigError);
+  EXPECT_THROW(make_bit_level_storage(0, 4, nullptr, 0), ConfigError);
+
+  AdderTree tree(8);
+  EXPECT_THROW(tree.reduce(std::vector<std::uint8_t>(7)), ConfigError);
+  EXPECT_THROW(tree.shift_and_add(std::vector<std::uint8_t>(15), 2),
+               ConfigError);
+  EXPECT_THROW(tree.shift_and_add(std::vector<std::uint8_t>(0), 0),
+               ConfigError);
+  EXPECT_THROW(
+      tree.shift_and_add_sparse(std::vector<std::uint32_t>{}),
+      ConfigError);
+  // A plane sum exceeding the fan-in is physically impossible input.
+  EXPECT_THROW(
+      tree.shift_and_add_sparse(std::vector<std::uint32_t>{9}),
+      ConfigError);
+  EXPECT_THROW(AdderTree{0}, ConfigError);
 }
 
 TEST(Storage, ReducedPrecision) {

@@ -205,6 +205,25 @@ TEST(Fuzz, CliRejectsBadNumericOptionsAtParseTime) {
     }
   }
   EXPECT_THROW(parse_cli(Cli::kQubo, {"--strategy", "spiral"}), UsageError);
+  // qubo_solver reads its input through --gset/--jh only; a stray
+  // positional file used to be ignored silently.
+  EXPECT_THROW(parse_cli(Cli::kQubo, {"--gset", "g.gset", "stray.txt"}),
+               UsageError);
+  // Unknown or unparsable --instance names are usage errors too, caught
+  // before anything is generated (the over-long suffix used to escape as
+  // a bare `stoull`).
+  for (const char* name :
+       {"nosuch", "pcb", "spiral3038", "pcb0",
+        "pcb99999999999999999999999"}) {
+    try {
+      parse_cli(Cli::kTsplib, {"--instance", name});
+      ADD_FAILURE() << "accepted --instance " << name;
+    } catch (const UsageError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("--instance"), std::string::npos) << message;
+      EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+    }
+  }
 }
 
 TEST(Fuzz, CliAcceptsEveryOptionAtItsRangeEdges) {
@@ -224,6 +243,9 @@ TEST(Fuzz, CliAcceptsEveryOptionAtItsRangeEdges) {
                          std::numeric_limits<std::int64_t>::max()));
   EXPECT_EQ(parse_cli(Cli::kTsplib, {"--p", "2"}).p_max, 2U);
   EXPECT_EQ(parse_cli(Cli::kTsplib, {"--p", "32"}).p_max, 32U);
+  for (const char* name : {"pcb3038", "rl5934", "pcb2000", "u1", "geo5000"}) {
+    EXPECT_NO_THROW(parse_cli(Cli::kTsplib, {"--instance", name})) << name;
+  }
   // Defaults are in range too.
   EXPECT_EQ(parse_cli(Cli::kQubo, {}).schedule.total_iterations, 400U);
   EXPECT_EQ(parse_cli(Cli::kTsplib, {}).p_max, 3U);
@@ -238,7 +260,8 @@ TEST(Fuzz, CliNumericOptionsNeverEscapeUsageErrors) {
                                       {Cli::kQubo, "block", "64"},
                                       {Cli::kQubo, "seed", "17"},
                                       {Cli::kTsplib, "p", "3"},
-                                      {Cli::kTsplib, "seed", "7"}};
+                                      {Cli::kTsplib, "seed", "7"},
+                                      {Cli::kTsplib, "instance", "pcb442"}};
   util::Rng rng(0xF077);
   std::size_t accepted = 0;
   std::size_t rejected = 0;

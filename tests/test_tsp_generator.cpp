@@ -83,6 +83,18 @@ TEST(Generator, UnknownFamilyThrows) {
   EXPECT_THROW(make_paper_instance("noNumber"), ConfigError);
 }
 
+TEST(Generator, UnparsableSizeSuffixThrows) {
+  // A suffix past the size_t range used to escape as std::out_of_range.
+  EXPECT_THROW(make_paper_instance("pcb99999999999999999999999"),
+               ConfigError);
+  EXPECT_THROW(make_paper_instance("rl0"), ConfigError);
+  EXPECT_THROW(check_paper_instance_name("pcb99999999999999999999999"),
+               ConfigError);
+  EXPECT_THROW(check_paper_instance_name("zzz123"), ConfigError);
+  EXPECT_NO_THROW(check_paper_instance_name("pla85900"));
+  EXPECT_NO_THROW(check_paper_instance_name("uniform12"));
+}
+
 TEST(Generator, ClusteredIsMoreClusteredThanUniform) {
   // Mean nearest-neighbour distance is smaller (relative to extent) for
   // clustered point sets of the same cardinality.

@@ -1,12 +1,11 @@
 """SIMD containment.
 
 Raw vector intrinsics live in exactly one file: src/util/simd.hpp, the
-dispatch layer that pairs every accelerated body with the portable
-fallback the determinism oracle is checked against. An intrinsic at any
-other site forks the kernel surface: it compiles only on one ISA, it
-dodges the CIMANNEAL_PORTABLE_SIMD escape hatch the no-AVX2 CI leg
-builds with, and its results are never covered by the bit-identity
-sweep that pins the vector path to the scalar oracle.
+CPU-tier detection layer where any accelerated body must sit next to its
+portable twin. An intrinsic at any other site forks the kernel surface:
+it compiles only on one ISA, escapes the runtime cpu-feature checks, and
+its results are never covered by the bit-identity sweeps that pin every
+kernel to the scalar oracle.
 """
 
 from __future__ import annotations
@@ -40,18 +39,16 @@ _INTRIN_INCLUDE = re.compile(
     "simd-intrinsics-confined",
     "raw SIMD intrinsic outside src/util/simd.hpp; use the util::simd "
     "wrappers",
-    """src/util/simd.hpp is the single dispatch point for vectorized
-kernels: every accelerated body there is paired with a portable fallback,
-selected at runtime behind cpu-feature checks, overridable with
-CIMANNEAL_PORTABLE_SIMD / CIMANNEAL_DISABLE_SIMD, and pinned bit-for-bit
-to the scalar determinism oracle by the storage and annealer test sweeps.
+    """src/util/simd.hpp is the single home for vectorized kernels: it
+detects the host's vector tier at runtime (cpu-feature checks), so an
+accelerated body there is selected only where the ISA exists and sits
+next to the portable fallback it must match bit-for-bit.
 
 An intrinsic (or a vendor intrinsic header) anywhere else escapes all of
-that: the no-AVX2 CI leg can't build it out, the portable-mode escape
-hatch doesn't reach it, and nothing asserts its results match the scalar
-path. Call the util::simd entry points (and_popcount, mac_bitplanes,
-mac_bitplanes_batch, plane_popcounts, ...) instead; if a kernel needs a
-new primitive, add it to simd.hpp with a portable twin and dispatch.""",
+that: it compiles only on one ISA, no runtime check guards it, and
+nothing asserts its results match the scalar path. If a kernel needs a
+vector primitive, add it to simd.hpp with a portable twin and dispatch
+on the detected tier.""",
 )
 def _simd_intrinsics_confined(ctx: FileContext):
     if PurePosixPath(ctx.rel) == SIMD_ALLOWFILE:
