@@ -6,13 +6,10 @@
 // Besides the google-benchmark suite, main() times the three variants of
 // the 4-MAC swap kernel (dense rebuild-and-scan, sparse row-list rebuild,
 // incremental sparse) head-to-head and writes BENCH_swap_kernel.json —
-// see EXPERIMENTS.md for the format — and times per-epoch thread spawning
-// against the persistent util::ThreadPool over an annealer-shaped epoch
-// loop, writing BENCH_parallel_runtime.json. CIMANNEAL_BENCH_OUT /
-// CIMANNEAL_BENCH_OUT_RUNTIME override the output paths;
-// CIMANNEAL_BENCH_SMOKE=1 shrinks the sweeps for CI.
+// see EXPERIMENTS.md for the format. CIMANNEAL_BENCH_OUT overrides the
+// output path; CIMANNEAL_BENCH_SMOKE=1 shrinks the sweeps for CI.
 //
-// Both report writers run under telemetry scopes and publish their
+// The report writer runs under a telemetry scope and publishes its
 // per-variant results as counter events; main() exports the registry to
 // BENCH_telemetry.json (+ .trace.json), path overridable via
 // CIMANNEAL_BENCH_OUT_TRACE. With CIMANNEAL_TELEMETRY=OFF the files
@@ -23,10 +20,7 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 #include <utility>
-
-#include "util/thread_pool.hpp"
 
 #include "cim/adder_tree.hpp"
 #include "cim/storage.hpp"
@@ -415,143 +409,6 @@ void write_swap_kernel_report() {
   std::printf("wrote %s\n", out_path.c_str());
 }
 
-/// An annealer-shaped epoch workload: a bank of independent swap-kernel
-/// slots, each with its own persistent RNG stream. One epoch updates all
-/// slots on T tasks (task t takes slots t, t+T, …), exactly like the
-/// color-parallel phase of the clustered annealer. Because every slot's
-/// swap sequence is a pure function of its own RNG, the accumulated
-/// checksum is identical for any task count and any scheduling backend.
-class EpochWorkload {
- public:
-  EpochWorkload(std::size_t slots, std::uint32_t p, std::size_t swaps)
-      : swaps_per_slot_(swaps) {
-    slots_.reserve(slots);
-    for (std::size_t s = 0; s < slots; ++s) {
-      slots_.push_back(std::make_unique<SwapKernelFixture>(p));
-      rngs_.emplace_back(0x9e3779b9ULL + s);
-      sums_.push_back(0);
-    }
-  }
-
-  std::size_t slots() const { return slots_.size(); }
-
-  void run_slot(std::size_t s) {
-    std::int64_t sum = 0;
-    for (std::size_t it = 0; it < swaps_per_slot_; ++it) {
-      sum += slots_[s]->incremental_swap(rngs_[s]);
-    }
-    sums_[s] += sum;
-  }
-
-  void run_strided(std::size_t task, std::size_t tasks) {
-    for (std::size_t s = task; s < slots_.size(); s += tasks) run_slot(s);
-  }
-
-  std::int64_t checksum() const {
-    std::int64_t sum = 0;
-    for (const std::int64_t s : sums_) sum += s;
-    return sum;
-  }
-
- private:
-  std::size_t swaps_per_slot_;
-  std::vector<std::unique_ptr<SwapKernelFixture>> slots_;
-  std::vector<cim::util::Rng> rngs_;
-  std::vector<std::int64_t> sums_;
-};
-
-/// Times the per-epoch-spawn baseline against the persistent ThreadPool
-/// over the same epoch loop and writes BENCH_parallel_runtime.json. Both
-/// variants run the identical workload (checked via checksum), and the
-/// pool's threads_created() counter must not grow across the epoch loop —
-/// the whole point of the runtime is zero thread creations per epoch.
-void write_parallel_runtime_report() {
-  TELEM_SCOPE("bench.parallel_runtime");
-  const bool smoke = cim::util::Args::env_flag("CIMANNEAL_BENCH_SMOKE");
-  const char* out_env = std::getenv("CIMANNEAL_BENCH_OUT_RUNTIME");
-  const std::string out_path =
-      out_env != nullptr ? out_env : "BENCH_parallel_runtime.json";
-  const std::size_t kSlots = smoke ? 16 : 64;
-  const std::size_t kSwapsPerSlot = smoke ? 8 : 16;
-  const std::size_t kEpochs = smoke ? 40 : 400;
-  const std::vector<std::size_t> task_counts = smoke
-                                                   ? std::vector<std::size_t>{2, 8}
-                                                   : std::vector<std::size_t>{2, 4, 8};
-
-  cim::util::Json report = cim::util::Json::object();
-  report["benchmark"] = "parallel_runtime";
-  report["smoke"] = smoke;
-  report["slots"] = static_cast<std::uint64_t>(kSlots);
-  report["swaps_per_slot"] = static_cast<std::uint64_t>(kSwapsPerSlot);
-  report["epochs"] = static_cast<std::uint64_t>(kEpochs);
-  cim::util::Json rows = cim::util::Json::array();
-
-  for (const std::size_t tasks : task_counts) {
-    // Fresh, identically-seeded workloads per variant: the checksum
-    // comparison below then proves both executed the same swaps.
-    EpochWorkload spawn_work(kSlots, 4, kSwapsPerSlot);
-    EpochWorkload pool_work(kSlots, 4, kSwapsPerSlot);
-
-    // Baseline: what the annealer used to do — T fresh threads per epoch.
-    cim::util::Timer spawn_timer;
-    for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
-      std::vector<std::thread> threads;  // NOLINT(raw-thread): this IS the spawn baseline being measured
-      threads.reserve(tasks);
-      for (std::size_t t = 0; t < tasks; ++t) {
-        threads.emplace_back(
-            [&spawn_work, t, tasks] { spawn_work.run_strided(t, tasks); });
-      }
-      for (auto& th : threads) th.join();
-    }
-    const double spawn_ns =
-        spawn_timer.seconds() * 1e9 / static_cast<double>(kEpochs);
-
-    // The persistent pool, sized like color_threads=tasks. Constructed
-    // outside the timed loop — exactly how the annealer holds the shared
-    // pool across colors, epochs, and levels.
-    cim::util::ThreadPool pool(tasks);
-    const std::uint64_t created_before = pool.threads_created();
-    cim::util::Timer pool_timer;
-    for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
-      pool.run(tasks,
-               [&pool_work, tasks](std::size_t t) {
-                 pool_work.run_strided(t, tasks);
-               });
-    }
-    const double pool_ns =
-        pool_timer.seconds() * 1e9 / static_cast<double>(kEpochs);
-    const std::uint64_t created_during = pool.threads_created() - created_before;
-
-    CIM_REQUIRE(spawn_work.checksum() == pool_work.checksum(),
-                "spawn and pool epoch variants disagree on swap deltas");
-    CIM_REQUIRE(created_during == 0,
-                "ThreadPool created threads inside the epoch loop");
-
-    TELEM_COUNTER_ADD("bench.parallel_runtime.epochs_timed", 2 * kEpochs);
-    TELEM_COUNTER_EVENT("bench.parallel_runtime",
-                        {"tasks", static_cast<double>(tasks)},
-                        {"spawn_ns_per_epoch", spawn_ns},
-                        {"pool_ns_per_epoch", pool_ns});
-
-    cim::util::Json row = cim::util::Json::object();
-    row["tasks"] = static_cast<std::uint64_t>(tasks);
-    row["spawn_ns_per_epoch"] = spawn_ns;
-    row["pool_ns_per_epoch"] = pool_ns;
-    row["speedup_pool_vs_spawn"] = pool_ns > 0.0 ? spawn_ns / pool_ns : 0.0;
-    row["pool_threads_created_during_epochs"] = created_during;
-    row["checksum"] = static_cast<long long>(pool_work.checksum());
-    rows.push_back(std::move(row));
-    std::printf(
-        "parallel_runtime tasks=%zu: spawn %.1f ns/epoch, pool %.1f ns/epoch "
-        "(%.2fx), threads created in loop: %llu\n",
-        tasks, spawn_ns, pool_ns, pool_ns > 0.0 ? spawn_ns / pool_ns : 0.0,
-        static_cast<unsigned long long>(created_during));
-  }
-  report["task_counts"] = std::move(rows);
-  report.save(out_path);
-  std::printf("wrote %s\n", out_path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -560,7 +417,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   write_swap_kernel_report();
-  write_parallel_runtime_report();
 
   // Export the registry so CI archives a bench telemetry artifact. The
   // snapshot lands at CIMANNEAL_BENCH_OUT_TRACE (default

@@ -71,14 +71,13 @@ echo "==== perfbench smoke (the four end-to-end workloads at small scale)"
 CARGO_TARGET_DIR="${repo_root}/build/perfbench" \
   python3 perfbench/run.py --smoke
 
-echo "==== bench smoke (swap-kernel + parallel-runtime benches at reduced scale)"
+echo "==== bench smoke (swap-kernel bench at reduced scale)"
 bench_bin="${repo_root}/build/release/bench/bench_micro_kernels"
 bench_out_dir="${repo_root}/build/release/bench-out"
 if [[ -x "${bench_bin}" ]]; then
   mkdir -p "${bench_out_dir}"
   CIMANNEAL_BENCH_SMOKE=1 \
     CIMANNEAL_BENCH_OUT="${bench_out_dir}/BENCH_swap_kernel.json" \
-    CIMANNEAL_BENCH_OUT_RUNTIME="${bench_out_dir}/BENCH_parallel_runtime.json" \
     CIMANNEAL_BENCH_OUT_TRACE="${bench_out_dir}/BENCH_telemetry.json" \
     "${bench_bin}" --benchmark_filter='BM_SwapKernel.*|BM_DistanceCacheRescan.*'
   require_artifact "${bench_out_dir}/BENCH_swap_kernel.json"
@@ -100,7 +99,6 @@ print("swap-kernel report structure OK "
       f"(simd_backend={report['simd_backend']}, "
       f"{len(report['scales'])} scale rows)")
 PY
-  require_artifact "${bench_out_dir}/BENCH_parallel_runtime.json"
   # One telemetry snapshot + Chrome trace per CI run (loadable in
   # chrome://tracing / ui.perfetto.dev). Present in every build flavour:
   # a CIMANNEAL_TELEMETRY=OFF build writes them with

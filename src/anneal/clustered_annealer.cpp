@@ -13,7 +13,6 @@
 #include "util/random.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cim::anneal {
 
@@ -70,17 +69,6 @@ struct Slot {
   std::uint32_t p() const { return static_cast<std::uint32_t>(members.size()); }
 };
 
-/// Per-worker scratch buffers for attempt_swap (one per thread in the
-/// colour-parallel mode, so workers never share mutable state).
-struct SwapScratch {
-  std::vector<std::uint8_t> input;  ///< dense input (legacy kernel)
-  std::vector<std::uint32_t> rows;  ///< noisy row list (kSramSpin sparse)
-  /// Per-worker distance cache for the accepted-swap exact deltas (level
-  /// 0 only). Worker-owned, so the hot path never shares mutable state or
-  /// touches an atomic; stats are flushed once per level.
-  std::unique_ptr<tsp::DistanceCache> dcache;
-};
-
 /// Solves the member order of every cluster at one hierarchy level.
 class LevelSolver {
  public:
@@ -103,23 +91,13 @@ class LevelSolver {
         memoize_(config.memoize_partial_sums && config.sparse_swap_kernel) {
     if (level_ == 0) {
       // Level 0 asks for exact TSPLIB distances (sqrt + rounding) from the
-      // window builder, the accepted-swap deltas and the ring scorer; the
-      // serial cache covers the coordinating thread, workers carry their
-      // own in SwapScratch.
+      // window builder, the accepted-swap deltas and the ring scorer; all
+      // three share this one cache.
       dcache_ = std::make_unique<tsp::DistanceCache>(instance_);
     }
     build_slots(ring);
     build_windows();
     for (Slot& slot : slots_) init_active(slot);
-    if (config_.color_threads > 1) {
-      const std::uint64_t level_stream = util::stream_seed(
-          util::hash_combine(config_.seed, 0xC0102ULL),
-          static_cast<std::uint64_t>(level_));
-      slot_rngs_.reserve(slots_.size());
-      for (std::size_t r = 0; r < slots_.size(); ++r) {
-        slot_rngs_.emplace_back(util::stream_seed(level_stream, r));
-      }
-    }
   }
 
   LevelStats run(HardwareActivity& hw, std::vector<double>* trace);
@@ -141,27 +119,14 @@ class LevelSolver {
   }
 
   /// Exact member-to-member distance (TSPLIB integer metric at level 0,
-  /// centroid Euclidean above). The level-0 metric goes through `cache`
-  /// when one is supplied — the cache returns the exact instance values,
-  /// so cached and uncached runs are bit-identical.
-  double exact_distance(const geo::Point& a, const geo::Point& b,
-                        std::uint32_t item_a, std::uint32_t item_b,
-                        tsp::DistanceCache* cache) const {
-    if (level_ == 0) {
-      if (cache != nullptr) {
-        return static_cast<double>(cache->distance(item_a, item_b));
-      }
-      return static_cast<double>(instance_.distance(item_a, item_b));
-    }
-    return geo::euclidean(a, b);
-  }
-
-  /// Serial-path overload: routes through the coordinating thread's cache.
-  /// Only the window builder, the ring scorer and other single-threaded
-  /// callers may use it — workers pass their own cache explicitly.
+  /// centroid Euclidean above). The level-0 metric goes through the
+  /// level's distance cache, which returns the exact instance values.
   double exact_distance(const geo::Point& a, const geo::Point& b,
                         std::uint32_t item_a, std::uint32_t item_b) const {
-    return exact_distance(a, b, item_a, item_b, dcache_.get());
+    if (level_ == 0) {
+      return static_cast<double>(dcache_->distance(item_a, item_b));
+    }
+    return geo::euclidean(a, b);
   }
 
   std::uint8_t quantise(double d) const {
@@ -191,26 +156,16 @@ class LevelSolver {
                           LevelStats& stats);
   /// The set input rows after spin noise: the clean active list in every
   /// mode but kSramSpin, where cached per-epoch settle outcomes drop
-  /// written-1 rows and add settled-to-1 rows.
-  std::span<const std::uint32_t> noisy_input_rows(
-      const Slot& slot, std::vector<std::uint32_t>& scratch) const;
+  /// written-1 rows and add settled-to-1 rows (built in noisy_rows_).
+  std::span<const std::uint32_t> noisy_input_rows(const Slot& slot);
 
   bool attempt_swap(Slot& slot, const SchedulePhase& phase,
-                    LevelStats& stats, HardwareActivity& hw, util::Rng& rng,
-                    SwapScratch& scratch);
-
-  /// Updates all slots of one colour on up to config_.color_threads pool
-  /// tasks (the persistent shared ThreadPool — no threads are created in
-  /// the epoch loop).
-  void run_color_parallel(std::uint8_t color, const SchedulePhase& phase,
-                          LevelStats& stats, HardwareActivity& hw);
+                    LevelStats& stats, HardwareActivity& hw);
 
   /// Exact (noise-free, unquantised) energy delta of the swap (i, j) that
-  /// has already been applied to slot.perm. `cache` is the caller's
-  /// distance cache (per-worker in the colour-parallel mode), or nullptr.
+  /// has already been applied to slot.perm.
   double exact_swap_delta_applied(Slot& slot, std::uint32_t i,
-                                  std::uint32_t j,
-                                  tsp::DistanceCache* cache) const;
+                                  std::uint32_t j) const;
 
   const AnnealerConfig& config_;
   const tsp::Instance& instance_;
@@ -228,21 +183,11 @@ class LevelSolver {
   std::vector<Slot> slots_;
   std::uint8_t color_count_ = 1;
   double scale_ = 0.0;  ///< quantisation: weight = distance * scale_
-  SwapScratch scratch_;  ///< single-threaded scratch
-  /// Per-slot RNG streams (colour-parallel mode only): derived statelessly
-  /// from the level seed so results are independent of worker count and
-  /// execution order within a colour phase.
-  std::vector<util::Rng> slot_rngs_;
-  std::vector<std::size_t> color_slots_;  ///< scratch for one colour's slots
-  /// Per-task accumulators for the colour-parallel mode, sized once and
-  /// reused across colours, epochs and levels — the epoch loop performs
-  /// no allocation and no thread creation.
-  std::vector<LevelStats> worker_stats_;
-  std::vector<HardwareActivity> worker_hw_;
-  std::vector<SwapScratch> worker_scratch_;
-  /// Coordinating thread's distance cache (level 0 only): window build,
-  /// ring scoring and the single-threaded swap path. Mutable because the
-  /// const scoring paths (exact_ring_length) still warm it.
+  std::vector<std::uint8_t> dense_input_;  ///< dense-kernel input vector
+  std::vector<std::uint32_t> noisy_rows_;  ///< kSramSpin sparse row list
+  /// Distance cache of level 0 (nullptr above): window build, ring scoring
+  /// and the accepted-swap exact deltas. Mutable because the const
+  /// scoring paths (exact_ring_length) still warm it.
   mutable std::unique_ptr<tsp::DistanceCache> dcache_;
 };
 
@@ -483,16 +428,16 @@ void LevelSolver::refresh_spin_cache(Slot& slot, const SchedulePhase& phase,
 }
 
 std::span<const std::uint32_t> LevelSolver::noisy_input_rows(
-    const Slot& slot, std::vector<std::uint32_t>& scratch) const {
+    const Slot& slot) {
   if (config_.noise != NoiseMode::kSramSpin) return slot.active;
-  scratch.clear();
+  noisy_rows_.clear();
   for (const std::uint32_t r : slot.active) {
-    if (!slot.spin_drop[r]) scratch.push_back(r);
+    if (!slot.spin_drop[r]) noisy_rows_.push_back(r);
   }
   for (const std::uint32_t r : slot.spin_add) {
-    if (!slot.in_mask[r]) scratch.push_back(r);
+    if (!slot.in_mask[r]) noisy_rows_.push_back(r);
   }
-  return scratch;
+  return noisy_rows_;
 }
 
 // The 4-MAC swap kernel: the innermost hot path. A determinism-taint
@@ -500,15 +445,14 @@ std::span<const std::uint32_t> LevelSolver::noisy_input_rows(
 // can grow a non-deterministic source.
 CIM_DETERMINISM_ROOT
 bool LevelSolver::attempt_swap(Slot& slot, const SchedulePhase& phase,
-                               LevelStats& stats, HardwareActivity& hw,
-                               util::Rng& rng, SwapScratch& scratch) {
+                               LevelStats& stats, HardwareActivity& hw) {
   const std::uint32_t p = slot.p();
   if (p < 2) return false;
   ++stats.swaps_attempted;
   ++hw.swap_attempts;
 
-  std::uint32_t i = static_cast<std::uint32_t>(rng.below(p));
-  std::uint32_t j = static_cast<std::uint32_t>(rng.below(p - 1));
+  std::uint32_t i = static_cast<std::uint32_t>(rng_.below(p));
+  std::uint32_t j = static_cast<std::uint32_t>(rng_.below(p - 1));
   if (j >= i) ++j;
   if (i > j) std::swap(i, j);
 
@@ -558,26 +502,25 @@ bool LevelSolver::attempt_swap(Slot& slot, const SchedulePhase& phase,
     }
     pre_gen = slot.input_gen;
     // Two MACs with the pre-swap spin state (Fig. 5(a), cycles 1–2).
-    const auto rows_pre = noisy_input_rows(slot, scratch.rows);
+    const auto rows_pre = noisy_input_rows(slot);
     before = mac(i * p + k, rows_pre) + mac(j * p + l, rows_pre);
     // Apply the swap, two MACs with the post-swap state (cycles 3–4).
     std::swap(slot.perm[i], slot.perm[j]);
     set_active_entry(slot, i, i * p + slot.perm[i]);
     set_active_entry(slot, j, j * p + slot.perm[j]);
     refresh_boundary(slot);  // a single-slot ring neighbours itself
-    const auto rows_post = noisy_input_rows(slot, scratch.rows);
+    const auto rows_post = noisy_input_rows(slot);
     after = mac(i * p + l, rows_post) + mac(j * p + k, rows_post);
   } else {
     // Dense reference baseline (ablation + micro-bench): rebuild the full
     // input vector and scan every row per MAC.
-    auto& input = scratch.input;
-    assemble_input(slot, input, phase);
-    before = slot.storage->mac(hw::ColIndex(i * p + k), input) +
-             slot.storage->mac(hw::ColIndex(j * p + l), input);
+    assemble_input(slot, dense_input_, phase);
+    before = slot.storage->mac(hw::ColIndex(i * p + k), dense_input_) +
+             slot.storage->mac(hw::ColIndex(j * p + l), dense_input_);
     std::swap(slot.perm[i], slot.perm[j]);
-    assemble_input(slot, input, phase);
-    after = slot.storage->mac(hw::ColIndex(i * p + l), input) +
-            slot.storage->mac(hw::ColIndex(j * p + k), input);
+    assemble_input(slot, dense_input_, phase);
+    after = slot.storage->mac(hw::ColIndex(i * p + l), dense_input_) +
+            slot.storage->mac(hw::ColIndex(j * p + k), dense_input_);
     if (config_.noise == NoiseMode::kSramSpin) {
       // The dense ablation filters every input bit per assembly instead
       // of reusing a per-epoch settle cache.
@@ -608,7 +551,7 @@ bool LevelSolver::attempt_swap(Slot& slot, const SchedulePhase& phase,
       accept = delta < 0;
       if (!accept && temperature > 0.0) {
         ++stats.noise_draws;
-        accept = rng.uniform() <
+        accept = rng_.uniform() <
                  std::exp(-static_cast<double>(delta) / temperature);
       }
       break;
@@ -630,72 +573,14 @@ bool LevelSolver::attempt_swap(Slot& slot, const SchedulePhase& phase,
     return false;
   }
   ++stats.swaps_accepted;
-  if (level_ == 0 && scratch.dcache == nullptr) {
-    scratch.dcache = std::make_unique<tsp::DistanceCache>(instance_);
-  }
-  if (exact_swap_delta_applied(slot, i, j, scratch.dcache.get()) > 1e-9) {
+  if (exact_swap_delta_applied(slot, i, j) > 1e-9) {
     ++stats.uphill_accepted;
   }
   return true;
 }
 
-CIM_DETERMINISM_ROOT
-void LevelSolver::run_color_parallel(std::uint8_t color,
-                                     const SchedulePhase& phase,
-                                     LevelStats& stats,
-                                     HardwareActivity& hw) {
-  color_slots_.clear();
-  for (std::size_t r = 0; r < slots_.size(); ++r) {
-    if (slots_[r].color == color) color_slots_.push_back(r);
-  }
-  const std::size_t tasks = std::min<std::size_t>(
-      config_.color_threads, color_slots_.size());
-  if (tasks <= 1) {
-    // Same per-slot streams as the pooled path, so results do not depend
-    // on how many tasks a colour happens to get.
-    for (const std::size_t r : color_slots_) {
-      attempt_swap(slots_[r], phase, stats, hw, slot_rngs_[r], scratch_);
-    }
-    return;
-  }
-  // Per-task accumulators persist across colours/epochs/levels; the slot
-  // assignment strides by the task count, which depends only on the
-  // configuration and the ring — never on pool width or steal order —
-  // and every slot owns its RNG stream, so results are a pure function
-  // of the seed.
-  if (worker_stats_.size() < tasks) {
-    worker_stats_.resize(tasks);
-    worker_hw_.resize(tasks);
-    worker_scratch_.resize(tasks);
-  }
-  for (std::size_t t = 0; t < tasks; ++t) {
-    worker_stats_[t] = LevelStats{};
-    worker_hw_[t] = HardwareActivity{};
-  }
-  util::ThreadPool::shared().run(tasks, [&](std::size_t t) {
-    for (std::size_t q = t; q < color_slots_.size(); q += tasks) {
-      const std::size_t r = color_slots_[q];
-      attempt_swap(slots_[r], phase, worker_stats_[t], worker_hw_[t],
-                   slot_rngs_[r], worker_scratch_[t]);
-    }
-  });
-  for (std::size_t t = 0; t < tasks; ++t) {
-    stats.swaps_attempted += worker_stats_[t].swaps_attempted;
-    stats.swaps_accepted += worker_stats_[t].swaps_accepted;
-    stats.uphill_accepted += worker_stats_[t].uphill_accepted;
-    stats.settle_cache_hits += worker_stats_[t].settle_cache_hits;
-    stats.settle_cache_refreshes += worker_stats_[t].settle_cache_refreshes;
-    stats.noise_draws += worker_stats_[t].noise_draws;
-    stats.memo_hits += worker_stats_[t].memo_hits;
-    stats.memo_misses += worker_stats_[t].memo_misses;
-    hw.swap_attempts += worker_hw_[t].swap_attempts;
-    hw.dataflow += worker_hw_[t].dataflow;
-  }
-}
-
-double LevelSolver::exact_swap_delta_applied(
-    Slot& slot, std::uint32_t i, std::uint32_t j,
-    tsp::DistanceCache* cache) const {
+double LevelSolver::exact_swap_delta_applied(Slot& slot, std::uint32_t i,
+                                             std::uint32_t j) const {
   // The swap is already applied to slot.perm; evaluate the exact energy
   // difference it produced: local energies of the swapped orders after
   // minus before (the noise-free counterpart of the 4-MAC comparison).
@@ -707,22 +592,20 @@ double LevelSolver::exact_swap_delta_applied(
     const std::uint32_t item = slot.members[member];
     if (order == 0) {
       const std::uint32_t b = prev.perm.back();
-      acc += exact_distance(prev.points[b], pt, prev.members[b], item, cache);
+      acc += exact_distance(prev.points[b], pt, prev.members[b], item);
     } else {
       const std::uint32_t m = slot.perm[order - 1];
       if (m != member) {
-        acc += exact_distance(slot.points[m], pt, slot.members[m], item,
-                              cache);
+        acc += exact_distance(slot.points[m], pt, slot.members[m], item);
       }
     }
     if (order + 1 == slot.p()) {
       const std::uint32_t b = next.perm.front();
-      acc += exact_distance(next.points[b], pt, next.members[b], item, cache);
+      acc += exact_distance(next.points[b], pt, next.members[b], item);
     } else {
       const std::uint32_t m = slot.perm[order + 1];
       if (m != member) {
-        acc += exact_distance(slot.points[m], pt, slot.members[m], item,
-                              cache);
+        acc += exact_distance(slot.points[m], pt, slot.members[m], item);
       }
     }
     return acc;
@@ -738,7 +621,7 @@ double LevelSolver::exact_swap_delta_applied(
 
 // The epoch loop — the canonical determinism-taint root (DESIGN.md
 // §13): everything reachable from here must draw randomness only
-// from the seeded per-slot streams.
+// from the solve's seeded stream.
 CIM_DETERMINISM_ROOT
 LevelStats LevelSolver::run(HardwareActivity& hw,
                             std::vector<double>* trace) {
@@ -753,9 +636,8 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
     return m;
   }();
 
-  // All trace events of the level solve are emitted from this
-  // (coordinating) thread — pool workers only fill their per-task stats —
-  // so the event stream lands in one sink and its order is program order,
+  // The level solve runs on the calling thread and emits every trace
+  // event from it, so the event stream lands in one sink in program order,
   // independent of CIMANNEAL_THREADS (the golden-trajectory contract,
   // DESIGN.md §12).
   const telemetry::Scope level_scope(
@@ -788,14 +670,8 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
       // ring neighbours hold other colours, so the frozen-neighbour reads
       // are race-free (chromatic Gibbs sampling).
       for (std::uint8_t color = 0; color < color_count_; ++color) {
-        if (!slot_rngs_.empty()) {
-          run_color_parallel(color, phase, stats, hw);
-        } else {
-          for (Slot& slot : slots_) {
-            if (slot.color == color) {
-              attempt_swap(slot, phase, stats, hw, rng_, scratch_);
-            }
-          }
+        for (Slot& slot : slots_) {
+          if (slot.color == color) attempt_swap(slot, phase, stats, hw);
         }
         hw.update_cycles += 4;
         stats.update_cycles += 4;
@@ -803,7 +679,7 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
     } else {
       // Sequential Gibbs baseline: one cluster at a time.
       for (Slot& slot : slots_) {
-        attempt_swap(slot, phase, stats, hw, rng_, scratch_);
+        attempt_swap(slot, phase, stats, hw);
         hw.update_cycles += 4;
         stats.update_cycles += 4;
       }
@@ -858,21 +734,12 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
   for (const Slot& slot : slots_) {
     hw.storage += slot.storage->counters();
   }
-  // Collect the level's distance-cache traffic: the coordinating thread's
-  // cache (window build + ring scoring + serial swap path) plus every
-  // worker's private cache. A LevelSolver lives for exactly one level, so
-  // the cumulative cache stats are the level totals.
-  const auto flush_dcache =
-      [&stats](const std::unique_ptr<tsp::DistanceCache>& cache) {
-        if (!cache) return;
-        stats.dcache_hits += cache->stats().hits;
-        stats.dcache_misses += cache->stats().misses;
-        stats.dcache_bytes += cache->stats().bytes_touched;
-      };
-  flush_dcache(dcache_);
-  flush_dcache(scratch_.dcache);
-  for (const SwapScratch& scratch : worker_scratch_) {
-    flush_dcache(scratch.dcache);
+  // A LevelSolver lives for exactly one level, so the cumulative cache
+  // stats are the level's distance-cache traffic.
+  if (dcache_) {
+    stats.dcache_hits = dcache_->stats().hits;
+    stats.dcache_misses = dcache_->stats().misses;
+    stats.dcache_bytes = dcache_->stats().bytes_touched;
   }
 
   if constexpr (telemetry::kEnabled) {
@@ -958,12 +825,6 @@ ClusteredAnnealer::ClusteredAnnealer(AnnealerConfig config)
     : config_(std::move(config)) {
   CIM_REQUIRE(config_.weight_bits >= 1 && config_.weight_bits <= 8,
               "weight precision must be 1..8 bits");
-  CIM_REQUIRE(config_.color_threads >= 1,
-              "color_threads must be at least 1");
-  CIM_REQUIRE(config_.color_threads == 1 ||
-                  (config_.chromatic_parallel && config_.sparse_swap_kernel),
-              "color_threads > 1 requires chromatic_parallel and the sparse "
-              "swap kernel");
 }
 
 AnnealResult ClusteredAnnealer::solve(const tsp::Instance& instance) const {

@@ -55,16 +55,13 @@ EnsembleResult ReplicaEnsemble::solve(const tsp::Instance& instance) const {
 
   if (config_.use_threads && config_.replicas > 1) {
     // Replicas are tasks on the persistent shared pool instead of raw OS
-    // threads, so in-flight replicas are capped at `workers` (default:
-    // the pool width) rather than growing with the replica count. Each
-    // runner pulls replica indices from one atomic cursor; results[r]
-    // depends only on r, so which runner solves which replica cannot
-    // change the outcome.
+    // threads, so in-flight replicas are capped at the pool width rather
+    // than growing with the replica count. Each runner pulls replica
+    // indices from one atomic cursor; results[r] depends only on r, so
+    // which runner solves which replica cannot change the outcome.
     util::ThreadPool& pool = util::ThreadPool::shared();
-    const std::size_t cap =
-        config_.workers > 0 ? config_.workers
-                            : std::max<std::size_t>(pool.width(), 1);
-    const std::size_t runners = std::min(cap, config_.replicas);
+    const std::size_t runners =
+        std::min(std::max<std::size_t>(pool.width(), 1), config_.replicas);
     std::atomic<std::size_t> next{0};
     pool.run(runners, [&](std::size_t) {
       for (std::size_t r = next.fetch_add(1); r < config_.replicas;

@@ -18,13 +18,10 @@ namespace cim::anneal {
 struct EnsembleConfig {
   AnnealerConfig base;
   std::size_t replicas = 4;
-  bool use_threads = true;  ///< solve replicas on the shared thread pool
-  /// Maximum replicas in flight at once. 0 (default) caps at the shared
-  /// pool's width, so replicas ≫ cores queues instead of spawning one OS
-  /// thread per replica; 1 degenerates to a serial solve. Replica seeds
-  /// derive from the replica index alone, so the cap never changes
-  /// results.
-  std::size_t workers = 0;
+  /// Solve replicas on the shared thread pool, at most its width in
+  /// flight. Replica seeds derive from the replica index alone, so this
+  /// never changes results.
+  bool use_threads = true;
 };
 
 struct EnsembleResult {

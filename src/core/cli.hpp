@@ -2,8 +2,10 @@
 // examples/tsplib_solver): each maps its options onto a SolverConfig and
 // checks every numeric option against its range while parsing, so a bad
 // value never reaches a solve (a negative --sweeps used to wrap to four
-// billion sweeps). Every rejection is a UsageError, which the CLIs report
-// in one line with exit status 2.
+// billion sweeps). The warm-start directory is created while parsing too,
+// so a path that cannot be one fails before any instance is loaded. Every
+// rejection is a UsageError, which the CLIs report in one line with exit
+// status 2.
 #pragma once
 
 #include <cstdint>

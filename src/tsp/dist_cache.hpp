@@ -9,8 +9,9 @@
 //   * deterministic: the fill/evict order is a pure function of the query
 //     sequence (direct-mapped, no clocks, no randomness), so cached and
 //     uncached runs are bit-identical;
-//   * NOT thread-safe: each worker owns its own instance (it lives in the
-//     per-worker SwapScratch, mirroring the PR 7 scratch discipline);
+//   * NOT thread-safe: one owner per instance (the annealer's level-0
+//     solve keeps exactly one, shared by its window build, swap deltas
+//     and ring scoring);
 //   * stats are plain counters the owner flushes to telemetry in bulk —
 //     no per-query atomics on the hot path.
 #pragma once

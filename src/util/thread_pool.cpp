@@ -198,7 +198,12 @@ std::size_t ThreadPool::parse_width(const char* text) {
   if (text == nullptr || *text == '\0') return 0;
   char* end = nullptr;
   const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value <= 0) return 0;
+  // strtol saturates on overflow, so an out-of-range value also lands
+  // above kMaxWidth.
+  if (end == text || *end != '\0' || value <= 0 ||
+      static_cast<unsigned long>(value) > kMaxWidth) {
+    return 0;
+  }
   return static_cast<std::size_t>(value);
 }
 

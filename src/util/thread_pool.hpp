@@ -1,15 +1,13 @@
 // Persistent work-stealing thread pool — the one parallel runtime every
-// threaded site in the repo runs on (colour-parallel swap kernel, replica
-// ensembles, k-NN candidate-list construction, the reference pipeline's
-// move scans).
+// threaded site in the repo runs on (write-back column chunks, neighbour
+// lists and k-NN construction, replica ensembles, the reference
+// pipeline's move scans).
 //
-// Why a pool: the annealer's epoch loop used to spawn and join
-// std::threads per colour per epoch, so the per-swap wins of the sparse
-// kernel were eaten by thread churn at the epoch level. The pool creates
-// its OS threads exactly once (`threads_created()` exposes the count so
-// benches can assert the epoch loop creates zero), keeps one task deque
-// per worker, and lets idle workers steal from the back of their peers'
-// deques.
+// Why a pool: spawning and joining std::threads per call costs tens of
+// microseconds, more than many of these sites' work. The pool creates
+// its OS threads exactly once (`threads_created()` exposes the count),
+// keeps one task deque per worker, and lets idle workers steal from the
+// back of their peers' deques.
 //
 // Determinism contract: the pool schedules; it never decides *what* is
 // computed. `run(count, fn)` invokes fn(i) exactly once for every
@@ -93,13 +91,18 @@ class ThreadPool {
   /// output deterministic (DESIGN.md §12).
   static std::size_t current_worker_index();
 
+  /// Largest width CIMANNEAL_THREADS may request. A larger value is a
+  /// typo, not a machine, and would only exhaust memory or thread limits.
+  static constexpr std::size_t kMaxWidth = 1024;
+
   /// Width of the shared pool: the CIMANNEAL_THREADS environment
-  /// variable when set to a positive integer, else the hardware
+  /// variable when set to an integer in [1, kMaxWidth], else the hardware
   /// concurrency (min 1).
   static std::size_t default_width();
 
   /// Parses a CIMANNEAL_THREADS-style override; nullopt-like 0 for
-  /// unset/invalid/non-positive values. Exposed for tests.
+  /// unset, invalid, non-positive, overflowing and over-kMaxWidth values.
+  /// Exposed for tests.
   static std::size_t parse_width(const char* text);
 
  private:

@@ -4,8 +4,10 @@
 // open-ended fuzzer.)
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cim/storage.hpp"
@@ -191,6 +193,12 @@ TEST(Fuzz, CliRejectsBadNumericOptionsAtParseTime) {
       {Cli::kTsplib, "p", "3.5"},
       {Cli::kTsplib, "seed", "-7"},
       {Cli::kTsplib, "seed", "seven"},
+      // A store directory that cannot be created used to fail only in the
+      // store constructor, after the instance was loaded, with exit 1.
+      {Cli::kTsplib, "warm-start-dir", "/dev/null"},
+      {Cli::kTsplib, "warm-start-dir", "/dev/null/store"},
+      {Cli::kQubo, "warm-dir", "/dev/null"},
+      {Cli::kQubo, "warm-dir", "/dev/null/store"},
   };
   for (const auto& c : bad) {
     const std::vector<std::string> tokens = {"--gset", "g.gset",
@@ -251,6 +259,19 @@ TEST(Fuzz, CliAcceptsEveryOptionAtItsRangeEdges) {
   EXPECT_EQ(parse_cli(Cli::kTsplib, {}).p_max, 3U);
   // Every accepted configuration constructs a solver.
   EXPECT_NO_THROW(core::CimSolver(parse_cli(Cli::kTsplib, {"--p", "2"})));
+  // A missing warm-start directory is created while parsing.
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() / "cim_cli_warm_dir";
+  fs::remove_all(root);
+  for (const auto& [cli, option] : {std::pair{Cli::kTsplib, "warm-start-dir"},
+                                    std::pair{Cli::kQubo, "warm-dir"}}) {
+    const fs::path dir = root / option / "nested";
+    const auto config =
+        parse_cli(cli, {"--" + std::string(option), dir.string()});
+    EXPECT_EQ(config.warm_start_dir, dir.string());
+    EXPECT_TRUE(fs::is_directory(dir)) << dir;
+  }
+  fs::remove_all(root);
 }
 
 TEST(Fuzz, CliNumericOptionsNeverEscapeUsageErrors) {

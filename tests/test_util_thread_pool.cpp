@@ -124,6 +124,13 @@ TEST(ThreadPool, ParseWidth) {
   EXPECT_EQ(ThreadPool::parse_width("8x"), 0U);
   EXPECT_EQ(ThreadPool::parse_width("5"), 5U);
   EXPECT_EQ(ThreadPool::parse_width("64"), 64U);
+  // Over the ceiling or overflowing: fall back to the default width
+  // instead of asking the pool for billions of threads.
+  EXPECT_EQ(ThreadPool::parse_width("1024"), ThreadPool::kMaxWidth);
+  EXPECT_EQ(ThreadPool::parse_width("1025"), 0U);
+  EXPECT_EQ(ThreadPool::parse_width("9223372036854775807"), 0U);
+  EXPECT_EQ(ThreadPool::parse_width("99999999999999999999"), 0U);
+  EXPECT_EQ(ThreadPool::parse_width("-99999999999999999999"), 0U);
 }
 
 TEST(ParallelFor, ChunkCountIsPure) {
