@@ -84,6 +84,10 @@ int main(int argc, char** argv) {
     add("CIM clustered annealer", outcome.tour_length,
         outcome.solve_wall_seconds);
     table.print();
+    if (outcome.reference_length) {
+      std::printf("(the reference ran beside the anneal; their times "
+                  "overlap)\n");
+    }
 
     if (outcome.ppa) {
       std::printf(

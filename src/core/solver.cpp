@@ -6,6 +6,7 @@
 #include "tsp/fingerprint.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace cim::core {
@@ -155,67 +156,86 @@ SolveOutcome CimSolver::solve(const tsp::Instance& instance) const {
   SolveOutcome outcome;
   const util::Timer timer;
 
-  // Warm start: seed the annealer from the persistent store when a valid
-  // tour for this instance fingerprint exists (DESIGN.md §16).
-  std::optional<store::WarmStartStore> warm_store;
-  std::string fingerprint;
-  anneal::AnnealerConfig base = annealer_config();
-  if (!config_.warm_start_dir.empty()) {
-    warm_store.emplace(config_.warm_start_dir);
-    fingerprint = tsp::instance_fingerprint(instance);
-    if (auto order = warm_store->load_tour(fingerprint, instance.size())) {
-      base.initial_order = std::move(*order);
-      outcome.warm_started = true;
+  // Everything the modelled machine does: warm-start load, anneal,
+  // post-refine and store save. Runs on the calling thread.
+  const auto run_anneal = [&] {
+    // Warm start: seed the annealer from the persistent store when a
+    // valid tour for this instance fingerprint exists (DESIGN.md §16).
+    std::optional<store::WarmStartStore> warm_store;
+    std::string fingerprint;
+    anneal::AnnealerConfig base = annealer_config();
+    if (!config_.warm_start_dir.empty()) {
+      warm_store.emplace(config_.warm_start_dir);
+      fingerprint = tsp::instance_fingerprint(instance);
+      if (auto order = warm_store->load_tour(fingerprint, instance.size())) {
+        base.initial_order = std::move(*order);
+        outcome.warm_started = true;
+      }
     }
-  }
 
-  if (config_.replicas > 1) {
-    anneal::EnsembleConfig ensemble_config;
-    ensemble_config.base = base;
-    ensemble_config.replicas = config_.replicas;
-    const anneal::ReplicaEnsemble ensemble(ensemble_config);
-    auto ensemble_result = ensemble.solve(instance);
-    outcome.replica_lengths = std::move(ensemble_result.replica_lengths);
-    outcome.anneal = std::move(ensemble_result.best);
-  } else {
-    const anneal::ClusteredAnnealer annealer(base);
-    outcome.anneal = annealer.solve(instance);
-  }
-  outcome.hardware_length = outcome.anneal.length;
-  outcome.tour_length = outcome.hardware_length;
-
-  if (config_.post_refine != PostRefine::kNone && instance.size() >= 5) {
-    heuristics::TwoOptOptions two;
-    heuristics::OrOptOptions oro;
-    if (config_.post_refine == PostRefine::kLight) {
-      two.max_passes = 2;
-      oro.max_passes = 2;
+    if (config_.replicas > 1) {
+      anneal::EnsembleConfig ensemble_config;
+      ensemble_config.base = base;
+      ensemble_config.replicas = config_.replicas;
+      const anneal::ReplicaEnsemble ensemble(ensemble_config);
+      auto ensemble_result = ensemble.solve(instance);
+      outcome.replica_lengths = std::move(ensemble_result.replica_lengths);
+      outcome.anneal = std::move(ensemble_result.best);
+    } else {
+      const anneal::ClusteredAnnealer annealer(base);
+      outcome.anneal = annealer.solve(instance);
     }
-    tsp::Tour& tour = outcome.anneal.tour;
-    heuristics::two_opt(instance, tour, two);
-    const auto refined = heuristics::or_opt(instance, tour, oro);
-    outcome.anneal.length = refined.final_length;
-    outcome.tour_length = refined.final_length;
-  }
-  outcome.solve_wall_seconds = timer.seconds();
+    outcome.hardware_length = outcome.anneal.length;
+    outcome.tour_length = outcome.hardware_length;
 
-  if (warm_store) {
-    const auto order = outcome.anneal.tour.order();
-    warm_store->store_tour(
-        fingerprint, std::span<const tsp::CityId>(order.data(), order.size()),
-        outcome.tour_length);
-    outcome.warm_start = warm_store->stats();
-  }
+    if (config_.post_refine != PostRefine::kNone && instance.size() >= 5) {
+      heuristics::TwoOptOptions two;
+      heuristics::OrOptOptions oro;
+      if (config_.post_refine == PostRefine::kLight) {
+        two.max_passes = 2;
+        oro.max_passes = 2;
+      }
+      tsp::Tour& tour = outcome.anneal.tour;
+      heuristics::two_opt(instance, tour, two);
+      const auto refined = heuristics::or_opt(instance, tour, oro);
+      outcome.anneal.length = refined.final_length;
+      outcome.tour_length = refined.final_length;
+    }
+    outcome.solve_wall_seconds = timer.seconds();
+
+    if (warm_store) {
+      const auto order = outcome.anneal.tour.order();
+      warm_store->store_tour(
+          fingerprint,
+          std::span<const tsp::CityId>(order.data(), order.size()),
+          outcome.tour_length);
+      outcome.warm_start = warm_store->stats();
+    }
+  };
 
   if (config_.compute_reference) {
-    const util::Timer reference_timer;
-    const heuristics::Reference ref = heuristics::compute_reference(instance);
-    outcome.reference_seconds = reference_timer.seconds();
+    // The reference is only the denominator of the optimal ratio and
+    // shares nothing with the anneal, so it runs as one background pool
+    // task beside it. The anneal stays on the caller, which keeps its
+    // heap in the main malloc arena and its spans on the caller's
+    // telemetry sink (DESIGN.md §11).
+    heuristics::Reference ref;
+    double reference_seconds = 0.0;
+    util::ThreadPool::shared().run_beside(
+        [&] {
+          const util::Timer reference_timer;
+          ref = heuristics::compute_reference(instance);
+          reference_seconds = reference_timer.seconds();
+        },
+        run_anneal);
+    outcome.reference_seconds = reference_seconds;
     outcome.reference_length = ref.length;
     if (ref.length > 0) {
       outcome.optimal_ratio =
           tsp::optimal_ratio(outcome.tour_length, ref.length);
     }
+  } else {
+    run_anneal();
   }
 
   if (config_.compute_ppa) {

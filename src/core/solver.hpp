@@ -63,7 +63,8 @@ struct SolverConfig {
   std::uint32_t group_block = 64;  ///< width bound for blocked strategies
 
   /// Compute the classical reference tour for optimal-ratio reporting
-  /// (costs one greedy+2-opt+Or-opt pass; disable for timing studies).
+  /// (one greedy+2-opt+Or-opt pass, run as a background task on the
+  /// shared pool beside the anneal; disable for timing studies).
   bool compute_reference = true;
   /// Attach the hardware PPA projection to the outcome.
   bool compute_ppa = true;
@@ -102,13 +103,17 @@ struct SolveOutcome {
   std::vector<long long> replica_lengths;
   std::optional<long long> reference_length;
   /// Host time of heuristics::compute_reference alone; 0 when the
-  /// reference is disabled.
+  /// reference is disabled. The reference runs beside the anneal, so this
+  /// overlaps solve_wall_seconds: the two do not add up to the wall time.
   double reference_seconds = 0.0;
   /// tour_length / reference_length (the paper's "optimal ratio");
   /// unset when the reference is disabled.
   std::optional<double> optimal_ratio;
   std::optional<ppa::PpaReport> ppa;
-  double solve_wall_seconds = 0.0;  ///< host-side simulation time
+  /// Host time from the start of solve() to the end of the anneal and
+  /// post-refine (warm-start load included). The reference runs
+  /// concurrently and is not on this path.
+  double solve_wall_seconds = 0.0;
   /// True when a stored tour seeded this solve (warm_start_dir hit).
   bool warm_started = false;
   /// Store traffic for this solve when warm_start_dir is set.

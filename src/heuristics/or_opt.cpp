@@ -1,12 +1,10 @@
 #include "heuristics/or_opt.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "util/error.hpp"
-#include "util/parallel_for.hpp"
 
 namespace cim::heuristics {
 
@@ -16,21 +14,6 @@ using tsp::NeighborLists;
 using tsp::Tour;
 
 namespace {
-
-/// Segment starts per parallel scan chunk — fixed, so chunk boundaries
-/// (and the scan result) never depend on the worker count.
-constexpr std::size_t kScanGrain = 64;
-
-/// One improving relocation found by the parallel scan: splice the
-/// segment of `len` cities starting at s0 out and reinsert it between
-/// `c` and next[c], optionally reversed. gain <= 0 means "no move found
-/// for this segment start".
-struct OrCand {
-  CityId c = 0;
-  long long gain = 0;  // removed - added, > 0 when improving
-  std::uint8_t len = 0;
-  bool reversed = false;
-};
 
 /// Doubly linked tour representation; Or-opt moves are O(1) splices.
 struct LinkedTour {
@@ -109,191 +92,76 @@ OrOptResult or_opt(const Instance& instance, Tour& tour,
     lt.prev[c_next] = tail;
   };
 
-  if (options.scan_threads > 1) {
-    // Parallel candidate scan, serial deterministic apply: every pass
-    // evaluates all segment relocations against the frozen linked tour on
-    // the shared pool (reads only; each segment start writes its own scan
-    // slot), then applies surviving moves in ascending s0 order, fully
-    // revalidating each against the *current* tour so earlier applies
-    // invalidate later stale candidates. Chunking is index-fixed and the
-    // apply order is serial, so the outcome is identical for every
-    // scan_threads > 1 and every pool width.
-    std::vector<OrCand> scan(n);
-    bool any_improved = true;
-    while (any_improved && result.passes < options.max_passes) {
-      any_improved = false;
-      ++result.passes;
+  bool any_improved = true;
+  while (any_improved && result.passes < options.max_passes) {
+    any_improved = false;
+    ++result.passes;
+    for (CityId s0 = 0; s0 < n; ++s0) {
+      if (dont_look[s0]) continue;
+      bool improved_here = false;
 
-      util::parallel_for_chunks(
-          n, kScanGrain, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t s = begin; s < end; ++s) {
-              const CityId s0 = static_cast<CityId>(s);
-              scan[s] = OrCand{};  // clear stale candidates
-              if (dont_look[s]) continue;
-              CityId s1 = s0;
-              for (std::size_t len = 1; len <= options.max_segment; ++len) {
-                if (len > 1) s1 = lt.next[s1];
-                if (s1 == lt.prev[s0]) break;  // segment covers whole tour
-                const CityId before = lt.prev[s0];
-                const CityId after = lt.next[s1];
-                if (after == before) break;
-                const long long removed =
-                    d(before, s0) + d(s1, after) - d(before, after);
-                if (removed <= 0) continue;
-
-                for (const CityId endpoint : {s0, s1}) {
-                  const auto cands = nbrs->of(endpoint);
-                  const auto cand_d = nbrs->dist_of(endpoint);
-                  for (std::size_t ci = 0; ci < cands.size(); ++ci) {
-                    const CityId c = cands[ci];
-                    bool inside = false;
-                    CityId walk = s0;
-                    for (std::size_t k = 0; k < len; ++k) {
-                      if (walk == c) {
-                        inside = true;
-                        break;
-                      }
-                      walk = lt.next[walk];
-                    }
-                    if (inside || c == before) continue;
-                    const CityId c_next = lt.next[c];
-                    if (c_next == s0) continue;
-                    // cand_d[ci] is d(endpoint, c) precomputed; the
-                    // non-endpoint terms still come from the metric.
-                    const long long d_c_end =
-                        cand_d.empty() ? d(c, endpoint) : cand_d[ci];
-                    const long long d_c_s0 = endpoint == s0 ? d_c_end
-                                                            : d(c, s0);
-                    const long long d_c_s1 = endpoint == s1 ? d_c_end
-                                                            : d(c, s1);
-                    const long long base = d(c, c_next);
-                    const long long add_fwd = d_c_s0 + d(s1, c_next) - base;
-                    const long long add_rev = d_c_s1 + d(s0, c_next) - base;
-                    const bool reversed = add_rev < add_fwd;
-                    const long long added = reversed ? add_rev : add_fwd;
-                    const long long gain = removed - added;
-                    if (gain > scan[s].gain) {
-                      scan[s] =
-                          OrCand{c, gain, static_cast<std::uint8_t>(len),
-                                 reversed};
-                    }
-                  }
-                }
-              }
-              if (scan[s].gain <= 0) dont_look[s] = 1;
-            }
-          });
-
-      for (std::size_t s = 0; s < n; ++s) {
-        if (scan[s].gain <= 0) continue;
-        // Fully revalidate against the current tour: earlier applies this
-        // pass may have moved the segment, its surroundings, or the
-        // insertion point.
-        const CityId s0 = static_cast<CityId>(s);
-        const std::size_t len = scan[s].len;
-        const CityId c = scan[s].c;
-        const bool reversed = scan[s].reversed;
-        CityId s1 = s0;
-        bool inside = (c == s0);
-        for (std::size_t k = 1; k < len; ++k) {
-          s1 = lt.next[s1];
-          if (s1 == c) inside = true;
-        }
-        if (inside || s1 == lt.prev[s0]) continue;
+      // Segment s0..s1 of length len starting at s0 (tour direction).
+      CityId s1 = s0;
+      for (std::size_t len = 1;
+           len <= options.max_segment && !improved_here; ++len) {
+        if (len > 1) s1 = lt.next[s1];
+        if (s1 == lt.prev[s0]) break;  // segment would cover whole tour
         const CityId before = lt.prev[s0];
         const CityId after = lt.next[s1];
-        if (after == before || c == before) continue;
-        const CityId c_next = lt.next[c];
-        if (c_next == s0) continue;
+        if (after == before) break;
+
         const long long removed =
             d(before, s0) + d(s1, after) - d(before, after);
-        const long long base = d(c, c_next);
-        const long long added = reversed
-                                    ? d(c, s1) + d(s0, c_next) - base
-                                    : d(c, s0) + d(s1, c_next) - base;
-        if (added >= removed) continue;
+        if (removed <= 0) continue;
 
-        splice(s0, s1, len, before, after, c, c_next, reversed);
-        result.final_length -= removed - added;
-        ++result.moves;
-        dont_look[before] = dont_look[after] = 0;
-        dont_look[c] = dont_look[c_next] = 0;
-        dont_look[s0] = dont_look[s1] = 0;
-        any_improved = true;
-      }
-    }
-  } else {
-    bool any_improved = true;
-    while (any_improved && result.passes < options.max_passes) {
-      any_improved = false;
-      ++result.passes;
-      for (CityId s0 = 0; s0 < n; ++s0) {
-        if (dont_look[s0]) continue;
-        bool improved_here = false;
-
-        // Segment s0..s1 of length len starting at s0 (tour direction).
-        CityId s1 = s0;
-        for (std::size_t len = 1;
-             len <= options.max_segment && !improved_here; ++len) {
-          if (len > 1) s1 = lt.next[s1];
-          if (s1 == lt.prev[s0]) break;  // segment would cover whole tour
-          const CityId before = lt.prev[s0];
-          const CityId after = lt.next[s1];
-          if (after == before) break;
-
-          const long long removed =
-              d(before, s0) + d(s1, after) - d(before, after);
-          if (removed <= 0) continue;
-
-          // Try inserting between c and next[c] for candidate cities c near
-          // the segment endpoints.
-          for (const CityId* endpoint : {&s0, &s1}) {
-            const auto cands = nbrs->of(*endpoint);
-            const auto cand_d = nbrs->dist_of(*endpoint);
-            for (std::size_t ci = 0; ci < cands.size(); ++ci) {
-              const CityId c = cands[ci];
-              // c must lie outside the segment.
-              bool inside = false;
-              CityId walk = s0;
-              for (std::size_t k = 0; k < len; ++k) {
-                if (walk == c) {
-                  inside = true;
-                  break;
-                }
-                walk = lt.next[walk];
+        // Try inserting between c and next[c] for candidate cities c near
+        // the segment endpoints.
+        for (const CityId* endpoint : {&s0, &s1}) {
+          const auto cands = nbrs->of(*endpoint);
+          const auto cand_d = nbrs->dist_of(*endpoint);
+          for (std::size_t ci = 0; ci < cands.size(); ++ci) {
+            const CityId c = cands[ci];
+            // c must lie outside the segment.
+            bool inside = false;
+            CityId walk = s0;
+            for (std::size_t k = 0; k < len; ++k) {
+              if (walk == c) {
+                inside = true;
+                break;
               }
-              if (inside || c == before) continue;
-              const CityId c_next = lt.next[c];
-              if (c_next == s0) continue;
-
-              // Forward: c → s0 … s1 → c_next; reversed: c → s1 … s0 → c_next.
-              // cand_d[ci] is d(*endpoint, c) precomputed.
-              const long long d_c_end =
-                  cand_d.empty() ? d(c, *endpoint) : cand_d[ci];
-              const long long d_c_s0 = *endpoint == s0 ? d_c_end : d(c, s0);
-              const long long d_c_s1 = *endpoint == s1 ? d_c_end : d(c, s1);
-              const long long base = d(c, c_next);
-              const long long add_fwd = d_c_s0 + d(s1, c_next) - base;
-              const long long add_rev = d_c_s1 + d(s0, c_next) - base;
-              const bool reversed = add_rev < add_fwd;
-              const long long added = reversed ? add_rev : add_fwd;
-              if (added >= removed) continue;
-
-              splice(s0, s1, len, before, after, c, c_next, reversed);
-              result.final_length -= removed - added;
-              ++result.moves;
-              dont_look[before] = dont_look[after] = 0;
-              dont_look[c] = dont_look[c_next] = 0;
-              dont_look[s0] = dont_look[s1] = 0;
-              improved_here = true;
-              any_improved = true;
-              break;
+              walk = lt.next[walk];
             }
-            if (improved_here) break;
+            if (inside || c == before) continue;
+            const CityId c_next = lt.next[c];
+            if (c_next == s0) continue;
+
+            // Forward: c → s0 … s1 → c_next; reversed: c → s1 … s0 → c_next.
+            // cand_d[ci] is d(*endpoint, c) precomputed.
+            const long long d_c_end =
+                cand_d.empty() ? d(c, *endpoint) : cand_d[ci];
+            const long long d_c_s0 = *endpoint == s0 ? d_c_end : d(c, s0);
+            const long long d_c_s1 = *endpoint == s1 ? d_c_end : d(c, s1);
+            const long long base = d(c, c_next);
+            const long long add_fwd = d_c_s0 + d(s1, c_next) - base;
+            const long long add_rev = d_c_s1 + d(s0, c_next) - base;
+            const bool reversed = add_rev < add_fwd;
+            const long long added = reversed ? add_rev : add_fwd;
+            if (added >= removed) continue;
+
+            splice(s0, s1, len, before, after, c, c_next, reversed);
+            result.final_length -= removed - added;
+            ++result.moves;
+            dont_look[before] = dont_look[after] = 0;
+            dont_look[c] = dont_look[c_next] = 0;
+            dont_look[s0] = dont_look[s1] = 0;
+            improved_here = true;
+            any_improved = true;
+            break;
           }
+          if (improved_here) break;
         }
-        if (!improved_here) dont_look[s0] = 1;
       }
+      if (!improved_here) dont_look[s0] = 1;
     }
   }
 

@@ -16,15 +16,6 @@ struct OrOptOptions {
   std::size_t max_segment = 3;
   std::size_t max_passes = 32;
   const tsp::NeighborLists* neighbors = nullptr;
-  /// 1 (default): the classical sequential first-improvement sweep —
-  /// bit-identical to the historical implementation. >1: each pass scans
-  /// all segment relocations in parallel against a frozen tour snapshot
-  /// on the shared util::ThreadPool, then applies the surviving moves
-  /// serially in segment-start order with full revalidation.
-  /// Deterministic and identical for every value > 1, but the move
-  /// sequence — and thus the exact local optimum — differs from the
-  /// sequential sweep.
-  std::size_t scan_threads = 1;
 };
 
 struct OrOptResult {

@@ -13,24 +13,22 @@ namespace cim::heuristics {
 Reference compute_heuristic_reference(const tsp::Instance& instance,
                                       const ReferenceOptions& options) {
   Reference ref;
-  ref.tour = instance.size() >= 3 ? greedy_edge(instance, options.neighbor_k)
-                                  : tsp::Tour::identity(instance.size());
   if (instance.size() < 4) {
+    ref.tour = greedy_edge(instance, options.neighbor_k);
     ref.length = ref.tour.length(instance);
     return ref;
   }
 
-  // Candidate distances are precomputed once here and reused across every
-  // 2-opt/Or-opt round — the scans then read d(city, cand) from the
-  // blocked arrays instead of recomputing the metric per visit.
+  // One candidate list, with distances, serves the construction and every
+  // 2-opt/Or-opt round: the scans read d(city, cand) from the blocked
+  // arrays instead of recomputing the metric per visit.
   const tsp::NeighborLists nbrs(instance, options.neighbor_k,
                                 {.with_distances = true});
+  ref.tour = greedy_edge(instance, nbrs);
   TwoOptOptions two;
   two.neighbors = &nbrs;
-  two.scan_threads = options.threads;
   OrOptOptions oro;
   oro.neighbors = &nbrs;
-  oro.scan_threads = options.threads;
 
   long long length = ref.tour.length(instance);
   for (std::size_t round = 0; round < options.rounds; ++round) {

@@ -16,15 +16,6 @@ struct TwoOptOptions {
   std::size_t neighbor_k = 10;    ///< candidate list size
   std::size_t max_passes = 64;    ///< hard cap on improvement sweeps
   const tsp::NeighborLists* neighbors = nullptr;  ///< optional prebuilt lists
-  /// 1 (default): the classical sequential greedy sweep — bit-identical
-  /// to the historical implementation. >1: each pass scans all candidate
-  /// moves in parallel against a frozen tour snapshot on the shared
-  /// util::ThreadPool, then applies the surviving moves serially in city
-  /// order with revalidation. Deterministic and identical for every
-  /// value > 1 (chunking is index-fixed, apply order is serial), but the
-  /// move sequence — and thus the exact local optimum — differs from the
-  /// sequential sweep.
-  std::size_t scan_threads = 1;
 };
 
 struct TwoOptResult {

@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <utility>
 
@@ -16,9 +17,9 @@ std::atomic<const ThreadPool*> g_shared_pool{nullptr};
 
 }  // namespace
 
-/// One run() call: the shared function, the not-yet-finished task count
-/// and the per-index captured exceptions. Lives on the submitting
-/// thread's stack for the duration of the call.
+/// One run() or run_beside() call: the shared function, the
+/// not-yet-finished task count and the per-index captured exceptions.
+/// Lives on the submitting thread's stack for the duration of the call.
 struct ThreadPool::Batch {
   const std::function<void(std::size_t)>* fn = nullptr;
   std::atomic<std::size_t> remaining{0};
@@ -62,14 +63,19 @@ ThreadPool::~ThreadPool() {
 CIM_DETERMINISM_ROOT
 void ThreadPool::worker_loop(std::size_t id) {
   t_worker_index = id;
+  const bool takes_background = id == 0;
   for (;;) {
     Task task;
-    if (pop_task(id, task)) {
+    // Background tasks only once the deques are empty: the hot path of
+    // a busy pool takes no extra lock.
+    if (pop_task(id, task) || (takes_background && pop_background(task))) {
       execute(task);
       continue;
     }
     std::unique_lock<std::mutex> lock(sleep_mu_);
-    work_cv_.wait(lock, [this] { return stop_ || ready_ > 0; });
+    work_cv_.wait(lock, [this, takes_background] {
+      return stop_ || ready_ > 0 || (takes_background && background_ready_ > 0);
+    });
     if (stop_) return;
   }
 }
@@ -109,6 +115,22 @@ bool ThreadPool::pop_task(std::size_t home, Task& task) {
     return true;
   }
   return false;
+}
+
+bool ThreadPool::pop_background(Task& task, const Batch* batch) {
+  const std::lock_guard<std::mutex> lock(background_.mu);
+  std::deque<Task>& tasks = background_.tasks;
+  const auto it =
+      batch == nullptr
+          ? tasks.begin()
+          : std::find_if(tasks.begin(), tasks.end(),
+                         [batch](const Task& t) { return t.batch == batch; });
+  if (it == tasks.end()) return false;
+  task = *it;
+  tasks.erase(it);
+  const std::lock_guard<std::mutex> ready_lock(sleep_mu_);
+  --background_ready_;
+  return true;
 }
 
 void ThreadPool::execute(const Task& task) {
@@ -160,7 +182,10 @@ void ThreadPool::run(std::size_t count,
     ready_ += count;
   }
   work_cv_.notify_all();
+  help_until_done(batch);
+}
 
+void ThreadPool::help_until_done(Batch& batch) {
   // Help until the batch drains. The helper may execute tasks of *other*
   // batches it steals — that is what makes nested run() calls from pool
   // workers deadlock-free: every submitter keeps draining queues while
@@ -176,9 +201,10 @@ void ThreadPool::run(std::size_t count,
     break;  // completed implies remaining == 0
   }
   {
-    // Exit handshake: the Batch lives on this stack, so before it leaves
-    // scope the final decrementer must be fully out of notify_all —
-    // waiting for `completed` under done_mu synchronises with it.
+    // Exit handshake: the Batch lives on the submitter's stack, so before
+    // it leaves scope the final decrementer must be fully out of
+    // notify_all — waiting for `completed` under done_mu synchronises
+    // with it.
     std::unique_lock<std::mutex> lock(batch.done_mu);
     batch.done_cv.wait(lock, [&batch] { return batch.completed; });
   }
@@ -192,6 +218,58 @@ void ThreadPool::run(std::size_t count,
     }
     std::rethrow_exception(batch.errors[best].second);
   }
+}
+
+CIM_DETERMINISM_ROOT
+void ThreadPool::run_beside(const std::function<void()>& background,
+                            const std::function<void()>& foreground) {
+  // Both sides always run to completion before anything is rethrown: the
+  // background may reference the caller's stack, which the foreground's
+  // exception would otherwise unwind under it.
+  std::exception_ptr foreground_error;
+  std::exception_ptr background_error;
+  const auto run_foreground = [&] {
+    try {
+      foreground();
+    } catch (...) {
+      foreground_error = std::current_exception();
+    }
+  };
+  if (workers_.empty()) {
+    run_foreground();
+    try {
+      background();
+    } catch (...) {
+      background_error = std::current_exception();
+    }
+  } else {
+    const std::function<void(std::size_t)> fn =
+        [&background](std::size_t) { background(); };
+    Batch batch;
+    batch.fn = &fn;
+    batch.remaining.store(1, std::memory_order_relaxed);
+    {
+      const std::lock_guard<std::mutex> lock(background_.mu);
+      background_.tasks.push_back(Task{&batch, 0});
+    }
+    {
+      const std::lock_guard<std::mutex> lock(sleep_mu_);
+      ++background_ready_;
+    }
+    work_cv_.notify_all();
+    run_foreground();
+    // Worker 0 may be busy or asleep: rather than wait for it, run the
+    // background here if it has not started yet.
+    Task own;
+    if (pop_background(own, &batch)) execute(own);
+    try {
+      help_until_done(batch);
+    } catch (...) {
+      background_error = std::current_exception();
+    }
+  }
+  if (foreground_error) std::rethrow_exception(foreground_error);
+  if (background_error) std::rethrow_exception(background_error);
 }
 
 std::size_t ThreadPool::parse_width(const char* text) {

@@ -1,7 +1,7 @@
 // Persistent work-stealing thread pool — the one parallel runtime every
 // threaded site in the repo runs on (write-back column chunks, neighbour
-// lists and k-NN construction, replica ensembles, the reference
-// pipeline's move scans).
+// lists and k-NN construction, replica ensembles, and the solver's
+// reference tour, which runs as one background task beside the anneal).
 //
 // Why a pool: spawning and joining std::threads per call costs tens of
 // microseconds, more than many of these sites' work. The pool creates
@@ -53,6 +53,21 @@ class ThreadPool {
   /// would have surfaced first — callers see one deterministic error
   /// regardless of scheduling).
   void run(std::size_t count, const std::function<void(std::size_t)>& fn)
+      CIM_EXCLUDES(sleep_mu_);
+
+  /// Queues `background` as one pool task, runs `foreground` inline on
+  /// the calling thread, then helps drain the queues (as run() does)
+  /// until `background` finished. Only worker 0 takes background tasks,
+  /// or the caller itself once `foreground` returned, so they always run
+  /// on one pool thread: their heap grows one malloc arena, not every
+  /// worker's. With no workers both run inline, foreground first. Both
+  /// always run to completion; if either throws, the foreground's
+  /// exception is rethrown in preference to the background's (the one a
+  /// serial foreground-then-background sequence would surface first),
+  /// and only after both have finished — so `background` may safely
+  /// reference the caller's stack.
+  void run_beside(const std::function<void()>& background,
+                  const std::function<void()>& foreground)
       CIM_EXCLUDES(sleep_mu_);
 
   /// Total OS threads this pool ever created (== width(); the pool never
@@ -121,17 +136,28 @@ class ThreadPool {
   /// the peers. `home == npos` for helping callers (no own deque).
   /// Takes queue mutexes and sleep_mu_ internally.
   bool pop_task(std::size_t home, Task& task) CIM_EXCLUDES(sleep_mu_);
+  /// Pops the oldest run_beside() background task, or with `batch` set
+  /// only that batch's task (a submitter reclaiming its own).
+  bool pop_background(Task& task, const Batch* batch = nullptr)
+      CIM_EXCLUDES(sleep_mu_);
   void execute(const Task& task);
+  /// Helps execute queued tasks until `batch` completed, then rethrows
+  /// its lowest-index exception, if any.
+  void help_until_done(Batch& batch) CIM_EXCLUDES(sleep_mu_);
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   std::vector<std::thread> workers_;
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
+  /// run_beside() background tasks; see run_beside() for who takes them.
+  WorkerQueue background_;
 
   std::mutex sleep_mu_;
   std::condition_variable work_cv_;
   /// Queued-but-unclaimed tasks (what sleeping workers wait on).
   std::size_t ready_ CIM_GUARDED_BY(sleep_mu_) = 0;
+  /// Queued-but-unclaimed background tasks (what worker 0 also waits on).
+  std::size_t background_ready_ CIM_GUARDED_BY(sleep_mu_) = 0;
   bool stop_ CIM_GUARDED_BY(sleep_mu_) = false;
 
   std::atomic<std::uint64_t> threads_created_{0};

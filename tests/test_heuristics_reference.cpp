@@ -32,28 +32,6 @@ TEST(Reference, NearOptimalOnSmall) {
   }
 }
 
-// The threaded pipeline is a different (equally valid) deterministic
-// trajectory: identical for every threads > 1, and of comparable quality
-// to the sequential pipeline.
-TEST(Reference, ThreadedPipelineDeterministicAndComparable) {
-  const auto inst = test::random_instance(300, 3);
-  ReferenceOptions two_threads;
-  two_threads.threads = 2;
-  ReferenceOptions four_threads;
-  four_threads.threads = 4;
-  const auto r2 = compute_heuristic_reference(inst, two_threads);
-  const auto r4 = compute_heuristic_reference(inst, four_threads);
-  EXPECT_EQ(r2.length, r4.length);
-  EXPECT_EQ(r2.tour, r4.tour);
-  EXPECT_TRUE(r2.tour.is_valid(300));
-
-  const auto serial = compute_heuristic_reference(inst);
-  // Same construction, different local-search trajectory: lengths agree
-  // to within a few percent.
-  EXPECT_LT(r2.length, serial.length * 103 / 100);
-  EXPECT_GT(r2.length, serial.length * 97 / 100);
-}
-
 TEST(Reference, WithinCertifiedBound) {
   const auto inst = test::random_instance(500, 2);
   const auto ref = compute_heuristic_reference(inst);

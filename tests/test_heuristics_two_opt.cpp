@@ -51,44 +51,6 @@ TEST(TwoOpt, FindsCircleOptimum) {
   EXPECT_EQ(tour.length(inst), test::identity_length(inst));
 }
 
-// The parallel scan must produce the exact same tour for every
-// scan_threads > 1: the scan is chunked by fixed grain and the apply is
-// serial in city order, so the pool width never shows in the result.
-TEST(TwoOpt, ParallelScanIdenticalAcrossThreadCounts) {
-  const auto inst = test::random_instance(400, 55);
-  const auto base = random_tour(inst, 2);
-  const auto run_with = [&](std::size_t threads) {
-    auto tour = base;
-    TwoOptOptions opt;
-    opt.scan_threads = threads;
-    const auto result = two_opt(inst, tour, opt);
-    EXPECT_EQ(result.final_length, tour.length(inst));
-    EXPECT_TRUE(tour.is_valid(inst.size()));
-    return tour;
-  };
-  const auto t2 = run_with(2);
-  const auto t3 = run_with(3);
-  const auto t8 = run_with(8);
-  EXPECT_EQ(t2, t3);
-  EXPECT_EQ(t2, t8);
-  // And it is a real optimisation pass, not a no-op.
-  EXPECT_LT(t2.length(inst), base.length(inst) / 2);
-}
-
-TEST(TwoOpt, ParallelScanNeverWorsens) {
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    const auto inst = test::random_instance(150, 10 + seed);
-    auto tour = random_tour(inst, seed);
-    const long long before = tour.length(inst);
-    TwoOptOptions opt;
-    opt.scan_threads = 4;
-    const auto result = two_opt(inst, tour, opt);
-    EXPECT_LE(result.final_length, before);
-    EXPECT_EQ(result.final_length, tour.length(inst));
-    EXPECT_TRUE(tour.is_valid(150));
-  }
-}
-
 TEST(TwoOpt, TinyInstancesAreNoOps) {
   for (std::size_t n : {1U, 2U, 3U}) {
     const auto inst = test::random_instance(n, n + 50);

@@ -1,15 +1,18 @@
 // The parallel runtime's contracts: every index runs exactly once, the
 // lowest-index exception is the one rethrown, nested submission does not
-// deadlock, and parallel_for / parallel_reduce produce bit-identical
-// results on every worker count. The stress tests double as the TSan
+// deadlock, run_beside() keeps its foreground on the caller and never
+// unwinds before its background finished, and parallel_for /
+// parallel_reduce produce bit-identical results on every worker count. The stress tests double as the TSan
 // workload for the pool internals.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -113,6 +116,117 @@ TEST(ThreadPool, StressManySmallImbalancedBatches) {
   }
   EXPECT_GT(sum.load(), 0U);
   EXPECT_GE(pool.tasks_executed(), 500U * 9U);
+}
+
+TEST(ThreadPool, RunBesideForegroundOnCallerBackgroundOnWorkerZero) {
+  for (const std::size_t width : {0U, 1U, 2U, 4U}) {
+    ThreadPool pool(width);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::thread::id foreground_thread;
+    std::size_t foreground_worker = 0;
+    std::optional<std::size_t> background_worker;
+    pool.run_beside(
+        [&] { background_worker = ThreadPool::current_worker_index(); },
+        [&] {
+          foreground_thread = std::this_thread::get_id();
+          foreground_worker = ThreadPool::current_worker_index();
+        });
+    EXPECT_EQ(foreground_thread, caller) << "width " << width;
+    EXPECT_EQ(foreground_worker, ThreadPool::kNotAWorker) << "width " << width;
+    // Background tasks run on worker 0 or, if it had not started them
+    // yet, on the caller — never on another worker.
+    ASSERT_TRUE(background_worker.has_value()) << "width " << width;
+    EXPECT_TRUE(*background_worker == 0 ||
+                *background_worker == ThreadPool::kNotAWorker)
+        << "width " << width << ": ran on worker " << *background_worker;
+  }
+}
+
+TEST(ThreadPool, RunBesideWithoutWorkersRunsForegroundThenBackground) {
+  ThreadPool pool(0);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::string> order;
+  std::vector<std::thread::id> threads;
+  pool.run_beside(
+      [&] {
+        order.emplace_back("background");
+        threads.push_back(std::this_thread::get_id());
+      },
+      [&] {
+        order.emplace_back("foreground");
+        threads.push_back(std::this_thread::get_id());
+      });
+  EXPECT_EQ(order, (std::vector<std::string>{"foreground", "background"}));
+  for (const auto& id : threads) EXPECT_EQ(id, caller);
+  EXPECT_EQ(pool.threads_created(), 0U);
+}
+
+TEST(ThreadPool, RunBesideRethrowsBackgroundErrorAfterForegroundReturns) {
+  for (const std::size_t width : {0U, 1U, 2U}) {
+    ThreadPool pool(width);
+    std::atomic<bool> foreground_done{false};
+    try {
+      pool.run_beside(
+          [] { throw std::runtime_error("background"); },
+          [&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            foreground_done.store(true);
+          });
+      FAIL() << "run_beside() swallowed the background error (width "
+             << width << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "background") << "width " << width;
+      EXPECT_TRUE(foreground_done.load()) << "width " << width;
+    }
+  }
+}
+
+TEST(ThreadPool, RunBesideThrowingForegroundWaitsForBackground) {
+  for (const std::size_t width : {0U, 1U, 2U}) {
+    for (const bool background_throws : {false, true}) {
+      ThreadPool pool(width);
+      // The background writes into this frame: it must be finished before
+      // the foreground's exception leaves run_beside().
+      std::vector<int> written;
+      try {
+        pool.run_beside(
+            [&] {
+              std::this_thread::sleep_for(std::chrono::milliseconds(5));
+              written.assign(1000, 7);
+              if (background_throws) throw std::runtime_error("background");
+            },
+            [] { throw std::runtime_error("foreground"); });
+        FAIL() << "run_beside() swallowed the foreground error";
+      } catch (const std::runtime_error& e) {
+        // The foreground's error wins, as in a serial foreground-first run.
+        EXPECT_STREQ(e.what(), "foreground") << "width " << width;
+        EXPECT_EQ(written.size(), 1000U) << "width " << width;
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, RunBesideNestedRunDoesNotDeadlock) {
+  for (const std::size_t width : {1U, 2U}) {
+    ThreadPool pool(width);
+    for (int round = 0; round < 50; ++round) {
+      std::atomic<std::size_t> background_total{0};
+      std::atomic<std::size_t> foreground_total{0};
+      pool.run_beside(
+          [&] {
+            pool.run(16, [&](std::size_t) {
+              background_total.fetch_add(1, std::memory_order_relaxed);
+            });
+          },
+          [&] {
+            pool.run(16, [&](std::size_t) {
+              foreground_total.fetch_add(1, std::memory_order_relaxed);
+            });
+          });
+      EXPECT_EQ(background_total.load(), 16U) << "width " << width;
+      EXPECT_EQ(foreground_total.load(), 16U) << "width " << width;
+    }
+  }
 }
 
 TEST(ThreadPool, ParseWidth) {
