@@ -181,6 +181,8 @@ class LevelSolver {
   const bool memoize_;  ///< partial-sum memo active for the swap kernel
 
   std::vector<Slot> slots_;
+  /// Every slot's storage, in slot order: one write_back_all() batch.
+  std::vector<hw::WeightStorage*> storages_;
   std::uint8_t color_count_ = 1;
   double scale_ = 0.0;  ///< quantisation: weight = distance * scale_
   std::vector<std::uint8_t> dense_input_;  ///< dense-kernel input vector
@@ -319,6 +321,7 @@ void LevelSolver::build_windows() {
           config_.weight_bits);
     }
     slot.storage->write(image);
+    storages_.push_back(slot.storage.get());
     cell_base += static_cast<std::uint64_t>(slot.shape.weights()) *
                  config_.weight_bits;
     if (memoize_) {
@@ -653,8 +656,8 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
     phase.epoch += epoch_base_;
 
     if (phase.write_back) {
+      hw::write_back_all(storages_, phase);
       for (Slot& slot : slots_) {
-        slot.storage->write_back(phase);
         // Weights changed (golden restore + fresh corruption pattern):
         // every memoized partial sum is stale.
         slot.input_gen = ++slot.gen_counter;

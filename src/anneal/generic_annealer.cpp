@@ -130,6 +130,13 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
       windows[g].neg->write(neg_planes[g]);
     }
   }
+  // Every window's pos and neg planes: one write_back_all() batch.
+  std::vector<hw::WeightStorage*> planes;
+  planes.reserve(2 * windows.size());
+  for (const Window& w : windows) {
+    planes.push_back(w.pos.get());
+    planes.push_back(w.neg.get());
+  }
 
   GenericResult result;
   result.group_count = partition.size();
@@ -187,12 +194,12 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
 
   for (std::size_t sweep = 0; sweep < schedule.total_iterations(); ++sweep) {
     const auto phase = schedule.at(sweep);
+    const std::uint64_t flips_before = result.flips;
     if (phase.write_back) {
-      for (Window& w : windows) {
-        w.pos->write_back(phase);
-        w.neg->write_back(phase);
-        result.update_cycles += rows;  // sequential row write per window
-      }
+      hw::write_back_all(planes, phase);
+      // Sequential row write per window.
+      result.update_cycles +=
+          static_cast<std::uint64_t>(rows) * windows.size();
       // Weights changed: every memoized field value is stale.
       input_gen = ++gen_counter;
       refresh_row_sums();
@@ -259,7 +266,11 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
           partition.parallel_safe ? 1 : partition.groups[g].size();
     }
 
-    result.energy_hw = mapping.energy_hw(result.spins);
+    // A sweep that flipped nothing leaves the energy, and so the best
+    // state, as they were.
+    if (result.flips != flips_before) {
+      result.energy_hw = mapping.energy_hw(result.spins);
+    }
     if (result.energy_hw < result.best_energy_hw) {
       result.best_energy_hw = result.energy_hw;
       result.best_spins = result.spins;

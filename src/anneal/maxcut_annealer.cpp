@@ -1,6 +1,7 @@
 #include "anneal/maxcut_annealer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "cim/activity.hpp"
@@ -51,14 +52,6 @@ MaxCutResult MaxCutAnnealer::solve(
   // couplings into spin v.
   const auto rows = static_cast<std::uint32_t>(n);
   const auto cols = static_cast<std::uint32_t>(n);
-  std::vector<std::uint8_t> pos(static_cast<std::size_t>(n) * n, 0);
-  std::vector<std::uint8_t> neg(static_cast<std::size_t>(n) * n, 0);
-  for (const auto& e : problem.edges()) {
-    auto& plane = e.w >= 0 ? pos : neg;
-    const std::uint8_t q = quantise(e.w);
-    plane[static_cast<std::size_t>(e.a) * n + e.b] = q;
-    plane[static_cast<std::size_t>(e.b) * n + e.a] = q;
-  }
   const noise::SramCellModel* weight_model =
       config_.noise == NoiseMode::kSramWeight ? &cell_model : nullptr;
   const std::uint64_t plane_cells =
@@ -67,8 +60,21 @@ MaxCutResult MaxCutAnnealer::solve(
                                            config_.weight_bits);
   auto neg_storage = hw::make_fast_storage(rows, cols, weight_model,
                                            plane_cells, config_.weight_bits);
-  pos_storage->write(pos);
-  neg_storage->write(neg);
+  {
+    // The row-major images live only until both planes hold them.
+    std::vector<std::uint8_t> pos(static_cast<std::size_t>(n) * n, 0);
+    std::vector<std::uint8_t> neg(static_cast<std::size_t>(n) * n, 0);
+    for (const auto& e : problem.edges()) {
+      auto& plane = e.w >= 0 ? pos : neg;
+      const std::uint8_t q = quantise(e.w);
+      plane[static_cast<std::size_t>(e.a) * n + e.b] = q;
+      plane[static_cast<std::size_t>(e.b) * n + e.a] = q;
+    }
+    pos_storage->write(pos);
+    neg_storage->write(neg);
+  }
+  const std::array<hw::WeightStorage*, 2> planes = {pos_storage.get(),
+                                                    neg_storage.get()};
 
   // Chromatic classes for parallel updates.
   const ising::IsingModel graph = problem.to_ising();
@@ -126,8 +132,7 @@ MaxCutResult MaxCutAnnealer::solve(
   for (std::size_t sweep = 0; sweep < schedule.total_iterations(); ++sweep) {
     const auto phase = schedule.at(sweep);
     if (phase.write_back) {
-      pos_storage->write_back(phase);
-      neg_storage->write_back(phase);
+      hw::write_back_all(planes, phase);
       // Weights changed: every memoized field value is stale.
       input_gen = ++gen_counter;
       refresh_row_sums();

@@ -60,7 +60,10 @@ std::vector<std::int64_t> CimArray::cycle(
 }
 
 void CimArray::write_back_all(const noise::SchedulePhase& phase) {
-  for (auto& w : windows_) w->write_back(phase);
+  std::vector<WeightStorage*> storages;
+  storages.reserve(windows_.size());
+  for (const auto& w : windows_) storages.push_back(w.get());
+  hw::write_back_all(storages, phase);
 }
 
 StorageCounters CimArray::total_counters() const {

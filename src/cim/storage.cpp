@@ -39,6 +39,12 @@ class StorageBase : public WeightStorage {
   std::uint32_t weight_bits() const override { return bits_; }
 
  protected:
+  const noise::SramCellModel* cell_model() const override { return model_; }
+  /// Noisy low bits per weight a write-back of `phase` settles.
+  std::uint32_t noisy_bits(const noise::SchedulePhase& phase) const {
+    return model_ ? std::min(phase.noisy_lsbs, bits_) : 0;
+  }
+
   std::size_t weight_count() const {
     return static_cast<std::size_t>(rows_) * cols_;
   }
@@ -65,23 +71,12 @@ class StorageBase : public WeightStorage {
   std::uint64_t cell_base_;
 };
 
-/// Column-chunk grain of FastStorage::write_back: about 2^16 cell settles
-/// per chunk. A pure function of the column height and the noisy bits,
-/// never of the pool width, so the chunking — and with it the fold order
-/// of the per-chunk flip counts — is the same on any pool (DESIGN.md §11).
-/// Windows of at most 2^16 noisy cells settle in one chunk, inline.
-std::size_t settle_grain(std::uint32_t rows, std::uint32_t noisy_bits) {
-  constexpr std::size_t kSettlesPerChunk = std::size_t{1} << 16;
-  const std::size_t per_column = static_cast<std::size_t>(rows) * noisy_bits;
-  return std::max<std::size_t>(1, kSettlesPerChunk / per_column);
-}
-
 class FastStorage final : public StorageBase {
  public:
   FastStorage(std::uint32_t rows, std::uint32_t cols,
               const noise::SramCellModel* model, std::uint64_t cell_base,
-              std::uint32_t weight_bits, util::ThreadPool* pool)
-      : StorageBase(rows, cols, model, cell_base, weight_bits), pool_(pool) {}
+              std::uint32_t weight_bits)
+      : StorageBase(rows, cols, model, cell_base, weight_bits) {}
 
   void write(std::span<const std::uint8_t> golden) override {
     CIM_REQUIRE(golden.size() == weight_count(),
@@ -97,48 +92,37 @@ class FastStorage final : public StorageBase {
     apply_stuck_faults();
   }
 
-  void write_back(const noise::SchedulePhase& phase) override {
+  std::uint32_t restore(const noise::SchedulePhase& phase,
+                        const noise::PhaseSettler* /*settler*/) override {
     CIM_ASSERT_MSG(!golden_.empty(), "write_back before write");
     current_ = golden_;
     ++counters_.writeback_events;
     counters_.writeback_bits += weight_count() * bits_;
     apply_stuck_faults();
-    if (!model_ || phase.noisy_lsbs == 0) return;
-    const std::uint32_t noisy = std::min(phase.noisy_lsbs, bits_);
-    const noise::PhaseSettler settler(*model_, phase.epoch, phase.vdd);
-    const std::size_t grain = settle_grain(rows_, noisy);
-    chunk_flips_.assign(util::parallel_chunk_count(cols_, grain), 0);
-    // Each chunk owns whole columns, i.e. one contiguous run of current_,
-    // and its own flip tally.
-    const auto settle_columns = [&](std::size_t begin, std::size_t end) {
-      std::uint64_t flips = 0;
-      for (std::size_t c = begin; c < end; ++c) {
-        const auto col = static_cast<std::uint32_t>(c);
-        for (std::uint32_t r = 0; r < rows_; ++r) {
-          // Corrupt on top of the stuck-adjusted value (current_, not
-          // golden_): a stuck bit already holds its preferred value, so
-          // the settle rule leaves it alone — matching BitLevelStorage
-          // bit for bit.
-          std::uint8_t& value = current_[slot(r, col)];
-          const std::uint8_t settled =
-              settler.settle_word(cell_id(index(r, col), 0), value, noisy);
-          flips += static_cast<std::uint64_t>(
-              std::popcount(static_cast<unsigned>(value ^ settled)));
-          value = settled;
-        }
+    return noisy_bits(phase);
+  }
+
+  // The flips are returned to write_back_all(), which charges them.
+  // NOLINT(cim-counter-charge)
+  std::uint64_t settle_columns(const noise::PhaseSettler& settler,
+                               std::uint32_t noisy, std::uint32_t begin,
+                               std::uint32_t end) override {
+    std::uint64_t flips = 0;
+    for (std::uint32_t col = begin; col < end; ++col) {
+      for (std::uint32_t r = 0; r < rows_; ++r) {
+        // Corrupt on top of the stuck-adjusted value (current_, not
+        // golden_): a stuck bit already holds its preferred value, so the
+        // settle rule leaves it alone — matching BitLevelStorage bit for
+        // bit.
+        std::uint8_t& value = current_[slot(r, col)];
+        const std::uint8_t settled =
+            settler.settle_word(cell_id(index(r, col), 0), value, noisy);
+        flips += static_cast<std::uint64_t>(
+            std::popcount(static_cast<unsigned>(value ^ settled)));
+        value = settled;
       }
-      chunk_flips_[begin / grain] = flips;
-    };
-    if (pool_ != nullptr) {
-      util::parallel_for_chunks(*pool_, cols_, grain, settle_columns);
-    } else {
-      // This overload creates the shared pool only for a multi-chunk
-      // write-back: a window that fits one chunk never starts a thread.
-      util::parallel_for_chunks(cols_, grain, settle_columns);
     }
-    for (const std::uint64_t flips : chunk_flips_) {
-      counters_.pseudo_read_flips += flips;
-    }
+    return flips;
   }
 
   std::int64_t mac(ColIndex col_idx,
@@ -218,11 +202,9 @@ class FastStorage final : public StorageBase {
     }
   }
 
-  util::ThreadPool* pool_;  ///< write-back pool; nullptr: the shared pool
   /// Golden and current images, column-contiguous: slot(row, col).
   std::vector<std::uint8_t> golden_;
   std::vector<std::uint8_t> current_;
-  std::vector<std::uint64_t> chunk_flips_;  ///< write-back flips per chunk
 };
 
 class BitLevelStorage final : public StorageBase {
@@ -257,7 +239,8 @@ class BitLevelStorage final : public StorageBase {
     apply_stuck_faults();
   }
 
-  void write_back(const noise::SchedulePhase& phase) override {
+  std::uint32_t restore(const noise::SchedulePhase& phase,
+                        const noise::PhaseSettler* settler) override {
     CIM_ASSERT_MSG(!stored_.empty(), "write_back before write");
     stored_ = golden_bits_;
     std::fill(touched_.begin(), touched_.end(), 0);
@@ -265,16 +248,28 @@ class BitLevelStorage final : public StorageBase {
     ++counters_.writeback_events;
     counters_.writeback_bits += stored_.size();
     apply_stuck_faults();
-    if (!model_ || phase.noisy_lsbs == 0) return;
-    settler_.emplace(*model_, phase.epoch, phase.vdd);
+    if (settler == nullptr) return 0;
     if (policy_ == PseudoReadPolicy::kSettleAtWriteBack) {
-      const std::uint32_t noisy = std::min(phase.noisy_lsbs, bits_);
-      for (std::size_t w = 0; w < weight_count(); ++w) {
+      return noisy_bits(phase);
+    }
+    settler_ = *settler;  // kFlipOnAccess settles on access
+    return 0;
+  }
+
+  // The flips are returned to write_back_all(), which charges them.
+  // NOLINT(cim-counter-charge)
+  std::uint64_t settle_columns(const noise::PhaseSettler& settler,
+                               std::uint32_t noisy, std::uint32_t begin,
+                               std::uint32_t end) override {
+    std::uint64_t flips = 0;
+    for (std::uint32_t r = 0; r < rows_; ++r) {
+      for (std::uint32_t col = begin; col < end; ++col) {
         for (std::uint32_t b = 0; b < noisy; ++b) {
-          corrupt_cell(w, b);
+          flips += corrupt_cell(settler, index(r, col), b) ? 1 : 0;
         }
       }
     }
+    return flips;
   }
 
   std::int64_t mac(ColIndex col_idx,
@@ -296,7 +291,7 @@ class BitLevelStorage final : public StorageBase {
       for (std::uint32_t b = 0; b < bits_; ++b) {
         const std::size_t cell = w * bits_ + b;
         if (b < noisy && !touched_[cell]) {
-          corrupt_cell(w, b);
+          if (corrupt_cell(*settler_, w, b)) ++counters_.pseudo_read_flips;
           touched_[cell] = 1;
         }
         // 14T cell multiply: input NOR-combined with the stored bit acts
@@ -329,7 +324,7 @@ class BitLevelStorage final : public StorageBase {
         for (std::uint32_t b = 0; b < noisy; ++b) {
           const std::size_t cell = w * bits_ + b;
           if (!touched_[cell]) {
-            corrupt_cell(w, b);
+            if (corrupt_cell(*settler_, w, b)) ++counters_.pseudo_read_flips;
             touched_[cell] = 1;
           }
         }
@@ -380,20 +375,24 @@ class BitLevelStorage final : public StorageBase {
     }
   }
 
-  void corrupt_cell(std::size_t w, std::uint32_t b) {
+  /// Settles one cell; returns whether it flipped. The callers charge
+  /// the flip.
+  // NOLINT(cim-counter-charge)
+  bool corrupt_cell(const noise::PhaseSettler& settler, std::size_t w,
+                    std::uint32_t b) {
     const std::size_t cell = w * bits_ + b;
     const bool bit = stored_[cell] != 0;
-    const bool settled = settler_->settle(cell_id(w, b), bit);
-    if (settled != bit) {
-      stored_[cell] = settled ? 1 : 0;
-      ++counters_.pseudo_read_flips;
-    }
+    const bool settled = settler.settle(cell_id(w, b), bit);
+    if (settled == bit) return false;
+    stored_[cell] = settled ? 1 : 0;
+    return true;
   }
 
   PseudoReadPolicy policy_;
   AdderTree tree_;
   noise::SchedulePhase phase_;
-  /// The settle rule of phase_; set by every noisy write_back.
+  /// The settle rule of phase_ under kFlipOnAccess; set by every noisy
+  /// write-back.
   std::optional<noise::PhaseSettler> settler_;
   std::vector<std::uint8_t> stored_;
   std::vector<std::uint8_t> golden_bits_;
@@ -402,14 +401,103 @@ class BitLevelStorage final : public StorageBase {
   std::vector<std::uint32_t> plane_sums_;
 };
 
+/// One column range of one storage in the settle chunk table.
+struct SettlePiece {
+  std::size_t storage = 0;  ///< index into the batch
+  std::uint32_t noisy = 0;  ///< noisy low bits per weight to settle
+  std::uint32_t begin = 0;  ///< first column
+  std::uint32_t end = 0;    ///< one past the last column
+};
+
 }  // namespace
+
+void WeightStorage::write_back(const noise::SchedulePhase& phase) {
+  WeightStorage* const self = this;
+  write_back_all(std::span<WeightStorage* const>(&self, 1), phase);
+}
+
+void write_back_all(std::span<WeightStorage* const> storages,
+                    const noise::SchedulePhase& phase,
+                    util::ThreadPool* pool) {
+  const noise::SramCellModel* model = nullptr;
+  for (const WeightStorage* storage : storages) {
+    const noise::SramCellModel* m = storage->cell_model();
+    CIM_REQUIRE(m == nullptr || model == nullptr || m == model,
+                "a batched write-back needs one shared cell model");
+    if (m != nullptr) model = m;
+  }
+  // One settle table for the whole batch.
+  std::optional<noise::PhaseSettler> settler;
+  if (model != nullptr && phase.noisy_lsbs > 0) {
+    settler.emplace(*model, phase.epoch, phase.vdd);
+  }
+
+  // Restore every storage on the caller, then lay its settles out in
+  // chunks of about 2^16: a storage above that splits by columns, smaller
+  // consecutive ones share a chunk. A pure function of the shapes and the
+  // noisy bits, never of the pool width, so the fold order below is the
+  // same on any pool (DESIGN.md §11).
+  constexpr std::size_t kSettlesPerChunk = std::size_t{1} << 16;
+  std::vector<SettlePiece> pieces;
+  std::vector<std::size_t> chunk_first;  // first piece of each chunk
+  std::size_t open_settles = kSettlesPerChunk;  // no chunk open yet
+  for (std::size_t s = 0; s < storages.size(); ++s) {
+    WeightStorage& storage = *storages[s];
+    const std::uint32_t noisy =
+        storage.restore(phase, settler ? &*settler : nullptr);
+    if (noisy == 0) continue;
+    const std::size_t per_column =
+        static_cast<std::size_t>(storage.rows()) * noisy;
+    const std::size_t settles = per_column * storage.cols();
+    if (settles > kSettlesPerChunk) {
+      const auto grain = static_cast<std::uint32_t>(
+          std::max<std::size_t>(1, kSettlesPerChunk / per_column));
+      for (std::uint32_t c = 0; c < storage.cols(); c += grain) {
+        chunk_first.push_back(pieces.size());
+        pieces.push_back(
+            {s, noisy, c, std::min(storage.cols() - c, grain) + c});
+      }
+      open_settles = kSettlesPerChunk;
+      continue;
+    }
+    if (open_settles + settles > kSettlesPerChunk) {
+      chunk_first.push_back(pieces.size());
+      open_settles = 0;
+    }
+    pieces.push_back({s, noisy, 0, storage.cols()});
+    open_settles += settles;
+  }
+  chunk_first.push_back(pieces.size());
+
+  // Each chunk writes only its pieces' columns and flip tallies; nothing
+  // in it allocates, so worker malloc arenas stay as they are.
+  std::vector<std::uint64_t> flips(pieces.size(), 0);
+  const auto settle_chunk = [&](std::size_t chunk) {
+    for (std::size_t i = chunk_first[chunk]; i < chunk_first[chunk + 1]; ++i) {
+      const SettlePiece& piece = pieces[i];
+      flips[i] = storages[piece.storage]->settle_columns(
+          *settler, piece.noisy, piece.begin, piece.end);
+    }
+  };
+  const std::size_t chunks = chunk_first.size() - 1;
+  if (pool != nullptr) {
+    util::parallel_for(*pool, chunks, 1, settle_chunk);
+  } else {
+    // This overload creates the shared pool only for a multi-chunk job:
+    // a lone small window never starts a thread.
+    util::parallel_for(chunks, 1, settle_chunk);
+  }
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    storages[pieces[i].storage]->counters_.pseudo_read_flips += flips[i];
+  }
+}
 
 std::unique_ptr<WeightStorage> make_fast_storage(
     std::uint32_t rows, std::uint32_t cols,
     const noise::SramCellModel* model, std::uint64_t cell_base,
-    std::uint32_t weight_bits, util::ThreadPool* pool) {
+    std::uint32_t weight_bits) {
   return std::make_unique<FastStorage>(rows, cols, model, cell_base,
-                                       weight_bits, pool);
+                                       weight_bits);
 }
 
 std::unique_ptr<WeightStorage> make_bit_level_storage(

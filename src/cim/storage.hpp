@@ -9,15 +9,20 @@
 // patterns — a property the test suite checks.
 //
 //   * FastStorage    — materialises the corrupted byte per weight at
-//                      write-back, in column-contiguous planes and in
-//                      parallel column chunks; MACs are plain integer dot
-//                      products over one contiguous column. Used for
-//                      large instances.
+//                      write-back, in column-contiguous planes; MACs are
+//                      plain integer dot products over one contiguous
+//                      column. Used for large instances.
 //   * BitLevelStorage— explicit per-bit 14T cells, NOR multiplies and an
 //                      AdderTree reduction per MAC; optionally flips cells
 //                      on first access instead of at write-back
 //                      (kFlipOnAccess), which is the more faithful
 //                      temporal behaviour of pseudo-read.
+//
+// write_back_all() refreshes every storage of one annealer for one phase
+// as a single job: one PhaseSettler for the batch, and a fixed table of
+// column chunks (wide planes split by columns, small windows packed
+// together) that settle concurrently on the thread pool. A lone
+// write_back() is the one-storage case of the same code.
 #pragma once
 
 #include <cstdint>
@@ -62,8 +67,9 @@ class WeightStorage {
   /// initial noise-free write.
   virtual void write(std::span<const std::uint8_t> golden) = 0;
 
-  /// Restores golden bits, then applies the phase's pseudo-read corruption.
-  virtual void write_back(const noise::SchedulePhase& phase) = 0;
+  /// Restores golden bits, then applies the phase's pseudo-read
+  /// corruption: write_back_all() of this storage alone.
+  void write_back(const noise::SchedulePhase& phase);
 
   /// Column MAC: Σ_r input[r] · weight[r][col] over the current (possibly
   /// corrupted) weights. input has rows() entries of 0/1. The column is a
@@ -107,7 +113,46 @@ class WeightStorage {
 
  protected:
   StorageCounters counters_;
+
+ private:
+  friend void write_back_all(std::span<WeightStorage* const> storages,
+                             const noise::SchedulePhase& phase,
+                             util::ThreadPool* pool);
+
+  /// The cell model pseudo-read noise draws from; nullptr: noise-free.
+  virtual const noise::SramCellModel* cell_model() const = 0;
+
+  /// The caller-side half of a write-back: restores the golden bits and
+  /// the stuck faults and charges the write-back counters. `settler` is
+  /// the phase's settle rule (nullptr when the phase is noise-free); a
+  /// lazy backend keeps a copy for its later accesses. Returns the noisy
+  /// low bits per weight that settle_columns() must settle now (0: none).
+  virtual std::uint32_t restore(const noise::SchedulePhase& phase,
+                                const noise::PhaseSettler* settler) = 0;
+
+  /// Settles the `noisy` low bits of every weight in columns
+  /// [begin, end) and returns the bit-cells that flipped. Runs as a pool
+  /// task beside other chunks of the same storage: it writes only these
+  /// columns, leaves counters_ to the caller and must not allocate.
+  virtual std::uint64_t settle_columns(const noise::PhaseSettler& settler,
+                                       std::uint32_t noisy,
+                                       std::uint32_t begin,
+                                       std::uint32_t end) = 0;
 };
+
+/// Write-back of every storage in `storages` for one phase, as one job:
+/// each is restored on the caller, then all pseudo-read settles run as
+/// chunks on `pool` (nullptr: util::ThreadPool::shared(), created only
+/// when the job has more than one chunk). The storages share one cell
+/// model, or have none. A storage above about 2^16 settles splits by
+/// columns; consecutive smaller ones pack into one chunk. The chunk table
+/// depends only on the storage shapes and the phase's noisy bits, and
+/// the per-chunk flip tallies fold into each storage's counters in chunk
+/// order, so images and counters are the same on any pool and equal a
+/// loop of write_back() calls (DESIGN.md §11, §18).
+void write_back_all(std::span<WeightStorage* const> storages,
+                    const noise::SchedulePhase& phase,
+                    util::ThreadPool* pool = nullptr);
 
 enum class PseudoReadPolicy {
   kSettleAtWriteBack,  ///< corruption applied in full at write-back
@@ -116,13 +161,11 @@ enum class PseudoReadPolicy {
 
 /// Creates a fast (byte-materialised) backend.
 /// `cell_base` must give every storage a disjoint global cell-id range of
-/// rows*cols*weight_bits ids. A write-back that splits into several column
-/// chunks runs them on `pool` (nullptr: util::ThreadPool::shared()); the
-/// result does not depend on the pool or its width.
+/// rows*cols*weight_bits ids.
 std::unique_ptr<WeightStorage> make_fast_storage(
     std::uint32_t rows, std::uint32_t cols,
     const noise::SramCellModel* model, std::uint64_t cell_base,
-    std::uint32_t weight_bits = 8, util::ThreadPool* pool = nullptr);
+    std::uint32_t weight_bits = 8);
 
 /// Creates the bit-level 14T-cell backend.
 std::unique_ptr<WeightStorage> make_bit_level_storage(

@@ -1,7 +1,8 @@
 // Persistent work-stealing thread pool — the one parallel runtime every
-// threaded site in the repo runs on (write-back column chunks, neighbour
-// lists and k-NN construction, replica ensembles, and the solver's
-// reference tour, which runs as one background task beside the anneal).
+// threaded site in the repo runs on (the batched storage write-back that
+// settles every window of an annealer epoch, neighbour lists and k-NN
+// construction, replica ensembles, and the solver's reference tour, which
+// runs as one background task beside the anneal).
 //
 // Why a pool: spawning and joining std::threads per call costs tens of
 // microseconds, more than many of these sites' work. The pool creates

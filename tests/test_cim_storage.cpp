@@ -163,17 +163,101 @@ TEST(Storage, ChunkedWriteBackMatchesBitLevelOnAnyPool) {
   for (const auto& pool : pools) {
     const std::string label =
         pool ? "pool width " + std::to_string(pool->width()) : "shared pool";
-    auto fast = make_fast_storage(kRows, kCols, &model, 1U << 20, 8,
-                                  pool.get());
+    auto fast = make_fast_storage(kRows, kCols, &model, 1U << 20);
     fast->write(image);
+    WeightStorage* const batch[] = {fast.get()};
     for (std::size_t k = 0; k < phases.size(); ++k) {
-      fast->write_back(phases[k]);
+      write_back_all(batch, phases[k], pool.get());
       EXPECT_EQ(weight_image(*fast), want_images[k])
           << label << ", phase " << k;
       expect_same_counters(fast->counters(), want_counters[k],
                            label + ", phase " + std::to_string(k));
     }
   }
+}
+
+TEST(Storage, WriteBackAllMatchesPerStorageWriteBack) {
+  // One batch of mixed shapes: TSP-sized windows that pack into shared
+  // chunks, a one-column generic window, a plane that splits into column
+  // chunks, a noise-free storage and bit-level oracles. Its images and
+  // counters must equal a serial per-storage write_back() on any pool.
+  struct Spec {
+    std::uint32_t rows;
+    std::uint32_t cols;
+    bool noisy;
+    bool bit_level;
+  };
+  const std::vector<Spec> specs = {
+      {15, 9, true, false},   {15, 9, true, false},  {15, 9, true, true},
+      {513, 1, true, false},  {15, 9, false, false}, {512, 700, true, false},
+      {15, 9, true, false},   {513, 1, true, true},  {15, 9, true, false},
+  };
+  const std::vector<noise::SchedulePhase> phases = {
+      phase(4, 0.30, 6), phase(5, 0.42, 6), phase(6, 0.80, 0)};
+  for (const double stuck_rate : {0.0, 0.01}) {
+    noise::SramNoiseParams params;
+    params.stuck_cell_rate = stuck_rate;
+    const noise::SramCellModel model(params, 0xBA7C);
+    const auto make_batch = [&] {
+      std::vector<std::unique_ptr<WeightStorage>> storages;
+      std::uint64_t cell_base = 0;
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        const Spec& spec = specs[i];
+        const noise::SramCellModel* m = spec.noisy ? &model : nullptr;
+        storages.push_back(
+            spec.bit_level
+                ? make_bit_level_storage(spec.rows, spec.cols, m, cell_base)
+                : make_fast_storage(spec.rows, spec.cols, m, cell_base));
+        storages.back()->write(random_image(spec.rows, spec.cols, 40 + i));
+        cell_base += std::uint64_t{spec.rows} * spec.cols * 8;
+      }
+      return storages;
+    };
+
+    auto serial = make_batch();
+    std::vector<std::vector<std::vector<std::uint8_t>>> want_images;
+    std::vector<std::vector<StorageCounters>> want_counters;
+    for (const auto& p : phases) {
+      want_images.emplace_back();
+      want_counters.emplace_back();
+      for (const auto& storage : serial) {
+        storage->write_back(p);
+        want_images.back().push_back(weight_image(*storage));
+        want_counters.back().push_back(storage->counters());
+      }
+    }
+    ASSERT_GT(want_counters.front().back().pseudo_read_flips, 0U);
+
+    for (const std::size_t width : {0U, 1U, 2U, 8U}) {
+      util::ThreadPool pool(width);
+      auto batched = make_batch();
+      std::vector<WeightStorage*> batch;
+      for (const auto& storage : batched) batch.push_back(storage.get());
+      for (std::size_t k = 0; k < phases.size(); ++k) {
+        write_back_all(batch, phases[k], &pool);
+        for (std::size_t s = 0; s < batch.size(); ++s) {
+          const std::string label =
+              "stuck rate " + std::to_string(stuck_rate) + ", pool width " +
+              std::to_string(width) + ", phase " + std::to_string(k) +
+              ", storage " + std::to_string(s);
+          EXPECT_EQ(weight_image(*batch[s]), want_images[k][s]) << label;
+          expect_same_counters(batch[s]->counters(), want_counters[k][s],
+                               label);
+        }
+      }
+    }
+  }
+}
+
+TEST(Storage, WriteBackAllRejectsMixedCellModels) {
+  const noise::SramCellModel a(noise::SramNoiseParams{}, 1);
+  const noise::SramCellModel b(noise::SramNoiseParams{}, 2);
+  auto x = make_fast_storage(4, 4, &a, 0);
+  auto y = make_fast_storage(4, 4, &b, 128);
+  x->write(random_image(4, 4, 1));
+  y->write(random_image(4, 4, 2));
+  WeightStorage* const batch[] = {x.get(), y.get()};
+  EXPECT_THROW(write_back_all(batch, phase(0, 0.30, 6)), ConfigError);
 }
 
 TEST(Storage, RowMajorWriteRoundTripsOnNonSquareWindow) {
